@@ -145,9 +145,13 @@ impl DriverConfig {
 /// Runs the given selectors (plus, when configured, the in-situ
 /// baseline) on a prepared scenario.
 ///
-/// Sensitivities are computed once from the training split (SWIM's
-/// "single pass"); all write-verify methods share the same Monte Carlo
-/// seeds so their comparison is paired; in-situ training runs its own
+/// Sensitivities come from the preparation's memo
+/// ([`Prepared::sensitivities`]): the single second-derivative pass runs
+/// only when no earlier block (or, under `swim serve`, no earlier job)
+/// computed them at `cfg.eval_batch`. Every write-verify method starts
+/// from the same Monte Carlo seeds, but variable-length write-verify
+/// loops desynchronize the shared noise stream, so the comparison is
+/// not truly paired (ROADMAP item 5). In-situ training runs its own
 /// Monte Carlo with per-run RNG forks.
 pub fn run_methods(
     prepared: &mut Prepared,
@@ -157,8 +161,7 @@ pub fn run_methods(
     swim_tensor::linalg::set_gemm_threads(cfg.gemm_threads);
     swim_tensor::linalg::set_gemm_block_cols(cfg.gemm_block);
     let loss = SoftmaxCrossEntropy::new();
-    eprintln!("[driver] computing sensitivities (single second-derivative pass)...");
-    let sens = prepared.model.sensitivities(&loss, &prepared.train, cfg.eval_batch);
+    let sens = prepared.sensitivities(cfg.eval_batch);
     let mags = prepared.model.magnitudes();
 
     let sweep_cfg = SweepConfig {

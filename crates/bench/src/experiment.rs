@@ -467,20 +467,44 @@ pub(crate) fn check_tuning_pinned(spec: &ExperimentSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// Prepares one (scenario, device model, sigma) block and sweeps every
-/// configured method over it. `model_name` must already be validated
-/// against the registry (the spec's `validate()` guarantees it).
-fn prepare_and_sweep(
+/// Sweeps every configured method over one `(device model, sigma)`
+/// block. `model_name` must already be validated against the registry
+/// (the spec's `validate()` guarantees it).
+///
+/// `shared` is the preparation every block of the spec shares. Training
+/// and the sensitivity pass depend only on the seed, scenario and
+/// training budget; the device configuration and device model enter
+/// only through the model's [`swim_cim::mapping::WeightMapper`]. So the
+/// first block run (after any resumed from a checkpoint) prepares and
+/// computes the sensitivities into `shared`, and every block sweeps a
+/// copy rebound to its own `(device model, sigma)` — byte-identical to
+/// a run that prepared for that block alone.
+fn sweep_block(
     spec: &ExperimentSpec,
+    shared: &mut Option<Prepared>,
     model_name: &str,
     sigma: f64,
 ) -> (Prepared, MethodCurves) {
-    let scenario = Scenario::from_spec(&spec.scenario);
     let device = spec.device.config_at(sigma);
-    let prep_cfg = PrepConfig::from(spec);
     let model = device_model_by_name(model_name)
         .unwrap_or_else(|| panic!("validated spec has unknown device model `{model_name}`"));
-    let mut prepared = prepare_with_model(scenario, device, &prep_cfg, model);
+    let mut prepared = match shared {
+        Some(shared) => {
+            eprintln!(
+                "[prep] reusing the trained model and its sensitivities for {}",
+                block_label(spec, model_name, sigma)
+            );
+            let mut prepared = shared.clone();
+            prepared.model.rebind(device, model);
+            prepared
+        }
+        None => {
+            let scenario = Scenario::from_spec(&spec.scenario);
+            let mut prepared = prepare_with_model(scenario, device, &PrepConfig::from(spec), model);
+            prepared.sensitivities(spec.montecarlo.eval_batch);
+            shared.insert(prepared).clone()
+        }
+    };
     // `run_spec` already installed the fully resolved tuning (spec >
     // flags > env); the driver config reads it back so every layer sees
     // one policy.
@@ -616,12 +640,13 @@ fn run_table1(
          dataset; compare method ordering, gaps, and stds.)\n"
     );
 
+    let mut shared = None;
     for (model_name, sigma) in model_sigma_grid(spec) {
         let model_name = model_name.as_str();
         if collector.block_done(model_name, sigma) {
             continue;
         }
-        let (prepared, curves) = prepare_and_sweep(spec, model_name, sigma);
+        let (prepared, curves) = sweep_block(spec, &mut shared, model_name, sigma);
         emit_table1_block(
             spec,
             opts.csv,
@@ -714,7 +739,7 @@ fn run_fig2(
     if collector.block_done(model_name, sigma) {
         return Ok(());
     }
-    let (prepared, curves) = prepare_and_sweep(spec, model_name, sigma);
+    let (prepared, curves) = sweep_block(spec, &mut None, model_name, sigma);
     emit_fig2_block(
         spec,
         opts.csv,
@@ -776,12 +801,13 @@ fn run_generic_sweep(
         println!("note: {}", spec.note);
     }
     println!();
+    let mut shared = None;
     for (model_name, sigma) in model_sigma_grid(spec) {
         let model_name = model_name.as_str();
         if collector.block_done(model_name, sigma) {
             continue;
         }
-        let (prepared, curves) = prepare_and_sweep(spec, model_name, sigma);
+        let (prepared, curves) = sweep_block(spec, &mut shared, model_name, sigma);
         emit_sweep_block(
             spec,
             opts.csv,

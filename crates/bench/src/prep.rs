@@ -17,9 +17,11 @@ use swim_nn::Network;
 
 /// A trained, quantized, device-bound experiment setup.
 ///
-/// `Clone` is deliberate: the serve path caches one `Prepared` per
-/// preparation fingerprint and hands each job block its own copy
-/// (the sweep driver mutates the model's arena state in place).
+/// `Clone` is deliberate: `swim run` prepares once per spec and hands
+/// each `(device model, sigma)` block its own copy rebound to that
+/// block's device, and the serve path caches one `Prepared` per
+/// preparation fingerprint and hands each job block its own copy. The
+/// memoized sensitivities are shared between copies, not duplicated.
 #[derive(Clone)]
 pub struct Prepared {
     /// The quantized model bound to the device configuration.
@@ -33,6 +35,34 @@ pub struct Prepared {
     /// Accuracy of the quantized clean model on `test` (percent) — the
     /// paper's "accuracy without device variation".
     pub quant_accuracy: f64,
+    /// SWIM sensitivities of `model` over `train`, keyed by the batch
+    /// they were accumulated in (summation order changes the bits).
+    /// Filled lazily by [`Prepared::sensitivities`].
+    sensitivity_memo: Option<(usize, Arc<[f32]>)>,
+}
+
+impl Prepared {
+    /// SWIM sensitivities over the training split, accumulated in
+    /// batches of `batch`: from the memo when it holds that batch,
+    /// otherwise computed (the paper's single second-derivative pass)
+    /// and memoized. They depend only on the trained network, not on the
+    /// device the model is bound to, so they survive
+    /// [`swim_core::QuantizedModel::rebind`].
+    pub fn sensitivities(&mut self, batch: usize) -> Arc<[f32]> {
+        if let Some((b, sens)) = &self.sensitivity_memo {
+            if *b == batch {
+                eprintln!("[prep] reusing sensitivities (batch {batch})");
+                return Arc::clone(sens);
+            }
+        }
+        eprintln!(
+            "[prep] computing sensitivities (single second-derivative pass, batch {batch})..."
+        );
+        let sens: Arc<[f32]> =
+            self.model.sensitivities(&SoftmaxCrossEntropy::new(), &self.train, batch).into();
+        self.sensitivity_memo = Some((batch, Arc::clone(&sens)));
+        sens
+    }
 }
 
 /// Scenario descriptor for [`prepare`].
@@ -206,7 +236,7 @@ pub fn prepare_with_model(
     let quant_accuracy = 100.0 * model.clean_accuracy(&test, 256);
     eprintln!("[prep] quantized ({}-bit) accuracy {:.2}%", scenario.weight_bits(), quant_accuracy);
 
-    Prepared { model, train, test, float_accuracy, quant_accuracy }
+    Prepared { model, train, test, float_accuracy, quant_accuracy, sensitivity_memo: None }
 }
 
 #[cfg(test)]
@@ -222,6 +252,27 @@ mod tests {
         assert_eq!(prepared.model.mapper().slicing().weight_bits(), 4);
         assert_eq!(prepared.train.len(), 480);
         assert_eq!(prepared.test.len(), 120);
+    }
+
+    #[test]
+    fn sensitivity_memo_is_keyed_by_batch_and_shared_by_clones() {
+        let cfg = PrepConfig { samples: 200, epochs: 1, ..Default::default() };
+        let mut prepared = prepare(Scenario::LenetMnist, DeviceConfig::rram(), &cfg);
+        let first = prepared.sensitivities(40);
+        assert_eq!(first.len(), prepared.model.weight_count());
+        // A copy answers from the shared memo: no second pass, no copy.
+        let mut copy = prepared.clone();
+        assert!(Arc::ptr_eq(&first, &copy.sensitivities(40)));
+        // Another batch is another summation order: recomputed, and the
+        // memo moves to it.
+        let other = prepared.sensitivities(64);
+        assert!(!Arc::ptr_eq(&first, &other));
+        assert!(Arc::ptr_eq(&other, &prepared.sensitivities(64)));
+        // Recomputing the first batch reproduces it bit for bit.
+        let again = prepared.sensitivities(40);
+        assert!(!Arc::ptr_eq(&first, &again));
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again), bits(&first));
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!    [`ExperimentSpec::prep_fingerprint`] — the canonical hash of
 //!    exactly the spec prefix that determines the trained model — so a
 //!    resubmission with a different sweep/method/budget suffix skips
-//!    training entirely. Hits and misses surface in `/metrics` and in
+//!    training entirely. An entry carries its memoized sensitivities,
+//!    so a hit at the same evaluation batch also skips the
+//!    second-derivative pass (another batch recomputes them for that
+//!    block only). Hits and misses surface in `/metrics` and in
 //!    per-block job provenance.
 //! 3. **Document assembly.** Blocks complete in arbitrary order on the
 //!    pool; the final document replays them through a quiet
@@ -75,7 +78,8 @@ impl ServiceEngine {
     }
 
     /// Clones the cached preparation for `fingerprint`, or prepares and
-    /// caches it. Returns `(prepared, cache_hit)`.
+    /// caches it together with its sensitivities at the spec's
+    /// evaluation batch. Returns `(prepared, cache_hit)`.
     ///
     /// On concurrent misses for the same key both workers prepare; the
     /// preparation is deterministic, so last-insert-wins is harmless —
@@ -96,7 +100,10 @@ impl ServiceEngine {
         let prep_cfg = PrepConfig::from(spec);
         let model = device_model_by_name(model_name)
             .ok_or_else(|| format!("unknown device model `{model_name}`"))?;
-        let prepared = prepare_with_model(scenario, device, &prep_cfg, model);
+        let mut prepared = prepare_with_model(scenario, device, &prep_cfg, model);
+        // Memoize the sensitivities before caching, so every hit at the
+        // same evaluation batch skips the second-derivative pass too.
+        prepared.sensitivities(spec.montecarlo.eval_batch);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.cache
             .lock()

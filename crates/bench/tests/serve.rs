@@ -147,3 +147,49 @@ fn served_document_matches_run_and_resubmission_hits_the_cache() {
     assert!(text.contains("swim_prep_cache_misses_total 2"), "{text}");
     assert!(text.contains("swim_jobs_done_total 2"), "{text}");
 }
+
+/// The evaluation batch is not part of the preparation fingerprint, but
+/// it is part of the sensitivity memo's key (summation order changes the
+/// bits). A cached entry built at one batch must serve a spec at another
+/// as a cache hit whose document equals `swim run` of that spec.
+#[test]
+fn cache_hit_at_another_eval_batch_matches_run() {
+    let spec_b_text = SPEC.replace("runs = 2", "runs = 2\neval_batch = 50");
+    let spec_a = ExperimentSpec::parse_str(SPEC).expect("test spec parses");
+    let spec_b = ExperimentSpec::parse_str(&spec_b_text).expect("batch-B spec parses");
+    assert_ne!(spec_a.montecarlo.eval_batch, spec_b.montecarlo.eval_batch);
+
+    let args = Args::try_parse_from(std::iter::empty::<String>()).expect("empty args");
+    let opts = options_from_args(&spec_b, &args).expect("run options");
+    let reference = run_spec(&spec_b, &opts).expect("reference run");
+
+    let engine =
+        Arc::new(ServiceEngine::new(opts.tuning.gemm_threads, opts.tuning.gemm_block_cols));
+    let server = Server::new(engine, ServerConfig { workers: 2, ..ServerConfig::default() });
+    let submit = |text: &str| {
+        let created = server.handle(&request("POST", "/jobs", text.as_bytes()));
+        assert_eq!(created.status, 201, "{}", String::from_utf8_lossy(&created.body));
+        let id = field(&body_json(&created), "id").as_str().expect("job id").to_string();
+        let status = wait_terminal(&server, &id);
+        assert_eq!(field(&status, "state").as_str(), Some("done"), "{}", status.to_json());
+        (id, status)
+    };
+
+    // Batch A fills the cache (and memoizes sensitivities at A).
+    let (_, status_a) = submit(SPEC);
+    assert_eq!(field(&status_a, "cache_hits").as_int(), Some(0));
+
+    // Batch B hits the same entries and recomputes its sensitivities.
+    let (id_b, status_b) = submit(&spec_b_text);
+    for block in field(&status_b, "blocks").as_array().expect("blocks array") {
+        assert_eq!(field(block, "cache_hit").as_bool(), Some(true), "{}", block.to_json());
+    }
+    let served = server.handle(&request("GET", &format!("/jobs/{id_b}/result"), b""));
+    assert_eq!(served.status, 200);
+    let served_doc = String::from_utf8(served.body).expect("utf-8 document");
+    assert_eq!(
+        normalized(&served_doc),
+        normalized(&reference.to_json()),
+        "batch-B document served from a batch-A cache entry differs from `swim run`"
+    );
+}

@@ -363,3 +363,78 @@ fn model_grid_produces_one_block_per_model_sigma_pair() {
         .any(|(a, b)| a.accuracy_mean != b.accuracy_mean || a.nwc != b.nwc);
     assert!(differs, "device models must actually change the programmed curves");
 }
+
+/// One preparation serves every block: each block of a 2-model × 2-sigma
+/// sweep (in-situ on) must be bit-identical to the document of the
+/// matching one-block spec, which prepares for that block alone.
+#[test]
+fn grid_blocks_match_their_one_block_runs() {
+    let grid = |models: &str, sigmas: &str| {
+        ExperimentSpec::parse_str(&format!(
+            "name = \"prep-reuse\"\nkind = \"sweep\"\nseed = 17\n\
+             [device]\nmodel = {models}\nsigmas = {sigmas}\n\
+             [training]\nsamples = 120\nepochs = 1\n\
+             [selection]\nmethods = [\"swim\", \"magnitude\"]\ninsitu = true\n\
+             [sweep]\nfractions = [0.0, 0.5, 1.0]\n\
+             [montecarlo]\nruns = 2\nthreads = 1\n"
+        ))
+        .unwrap()
+    };
+    let opts = RunOptions {
+        tuning: swim_tensor::tune::KernelTuning { gemm_threads: 1, ..Default::default() },
+        ..Default::default()
+    };
+    let doc =
+        run_spec(&grid("[\"rram-gaussian\", \"mram-stochastic\"]", "[0.1, 0.2]"), &opts).unwrap();
+    assert_eq!(doc.sweeps.len(), 4);
+    for block in &doc.sweeps {
+        let single = run_spec(
+            &grid(&format!("\"{}\"", block.device_model), &format!("[{}]", block.sigma)),
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(single.sweeps.len(), 1);
+        assert!(!block.insitu.is_empty(), "in-situ baseline must run");
+        // `{:?}` prints every float with its shortest round-trip digits,
+        // so equal strings mean equal bits.
+        assert_eq!(
+            format!("{block:?}"),
+            format!("{:?}", single.sweeps[0]),
+            "block ({}, sigma={}) differs from its one-block run",
+            block.device_model,
+            block.sigma
+        );
+    }
+}
+
+/// A 3-sigma Table 1 trains once and runs the second-derivative pass
+/// once; the other blocks say they reuse both.
+#[test]
+fn three_sigma_table1_trains_once() {
+    let out = swim(&[
+        "preset",
+        "table1",
+        "--quick",
+        "--set",
+        "sigmas=0.1,0.15,0.2",
+        "--set",
+        "samples=120",
+        "--set",
+        "epochs=1",
+        "--set",
+        "runs=1",
+        "--set",
+        "threads=1",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let count = |needle: &str| stderr.lines().filter(|l| l.contains(needle)).count();
+    assert_eq!(count("[prep] trained"), 1, "{stderr}");
+    assert_eq!(count("[prep] computing sensitivities"), 1, "{stderr}");
+    assert_eq!(count("[prep] reusing the trained model"), 2, "{stderr}");
+    assert_eq!(count("[prep] reusing sensitivities"), 3, "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for sigma in ["0.1", "0.15", "0.2"] {
+        assert!(stdout.contains(&format!("Table 1 block, sigma = {sigma}")), "{stdout}");
+    }
+}

@@ -86,6 +86,24 @@ impl QuantizedModel {
         QuantizedModel { network, slots, codes, clean_weights, mapper }
     }
 
+    /// Rebinds the model to another device configuration and device
+    /// model, keeping the network, quantization codes, slots and clean
+    /// weights as they are.
+    ///
+    /// Quantization depends only on the weights and `weight_bits`, so a
+    /// rebound model programs exactly like a fresh
+    /// [`QuantizedModel::with_model`] over the same trained network —
+    /// one preparation serves every `(device model, sigma)` block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weight bit width is inconsistent with `device`'s
+    /// `K`-bit resolution (see [`swim_quant::DeviceSlicing::new`]).
+    pub fn rebind(&mut self, device: DeviceConfig, model: Arc<dyn DeviceModel>) {
+        let weight_bits = self.mapper.slicing().weight_bits();
+        self.mapper = WeightMapper::with_model(weight_bits, device, model);
+    }
+
     /// Number of device-mapped weights.
     pub fn weight_count(&self) -> usize {
         self.codes.len()
@@ -442,6 +460,42 @@ mod tests {
         assert_eq!(summary.verified_weights as usize, n.div_ceil(4));
         assert!(summary.verify_pulses > 0);
         assert!(summary.bulk_pulses > 0);
+    }
+
+    /// Rebinding swaps only the mapper: programming a rebound model draws
+    /// the same bits as a model built fresh for that device.
+    #[test]
+    fn rebind_programs_like_a_fresh_model() {
+        let mut rng = Prng::seed_from_u64(1);
+        let mut seq = Sequential::new();
+        seq.push(Linear::new(4, 8, &mut rng));
+        seq.push(Relu::new());
+        seq.push(Linear::new(8, 3, &mut rng));
+        let net = Network::new("tiny", seq);
+        let device = DeviceConfig::rram().with_sigma(0.2);
+        for name in swim_cim::model::device_model_keys() {
+            let model = swim_cim::model::device_model_by_name(&name).expect("registered model");
+            let fresh = QuantizedModel::with_model(net.clone(), 4, device, model.clone());
+            let mut rebound = QuantizedModel::new(net.clone(), 4, DeviceConfig::rram());
+            rebound.rebind(device, model);
+            assert_eq!(rebound.codes(), fresh.codes());
+            assert_eq!(rebound.clean_weights(), fresh.clean_weights());
+            let n = fresh.weight_count();
+            let mask: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+            for selection in [None, Some(&mask[..])] {
+                let mut outs = Vec::new();
+                for m in [&fresh, &rebound] {
+                    let (mut codes, mut weights) = (Vec::new(), Vec::new());
+                    let mut rng = Prng::seed_from_u64(7);
+                    let summary =
+                        m.program_weights_into(selection, &mut rng, &mut codes, &mut weights);
+                    let bits: Vec<u32> = weights.iter().map(|w| w.to_bits()).collect();
+                    let code_bits: Vec<u64> = codes.iter().map(|c| c.to_bits()).collect();
+                    outs.push((bits, code_bits, summary));
+                }
+                assert_eq!(outs[0], outs[1], "model {name}, mask {}", selection.is_some());
+            }
+        }
     }
 
     #[test]

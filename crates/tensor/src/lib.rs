@@ -54,6 +54,18 @@ pub mod stats;
 pub mod tensor;
 pub mod tune;
 
+/// Serializes this crate's unit tests that flip or depend on the
+/// process-global kernel state: the active SIMD backend
+/// ([`simd::with_backend`]) and the GEMM/tuning knobs
+/// ([`linalg::set_gemm_block_cols`], [`tune::install`],
+/// [`tune::with_tuning`]). Without it a test comparing two GEMM results
+/// bit for bit can see another test switch the backend between them.
+#[cfg(test)]
+pub(crate) fn kernel_state_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 pub use error::TensorError;
 pub use rng::Prng;
 pub use shape::Shape;

@@ -1050,6 +1050,7 @@ mod tests {
     /// rounding per `k` step).
     #[test]
     fn blocked_kernel_matches_reference() {
+        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(11);
         for &(m, k, n) in &[(1, 1, 1), (3, 7, 5), (33, 17, 29), (64, 64, 64), (13, 128, 47)] {
             let a = Tensor::randn(&[m, k], &mut rng);
@@ -1071,6 +1072,7 @@ mod tests {
     /// backend, even on products large enough to take the parallel path.
     #[test]
     fn threaded_kernel_bit_identical_across_thread_counts() {
+        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(12);
         // 192·96·256 = 4.7M multiplies ≥ PARALLEL_MIN_FLOPS.
         let a = Tensor::randn(&[192, 96], &mut rng);
@@ -1097,6 +1099,7 @@ mod tests {
     /// bits.
     #[test]
     fn block_cols_knob_does_not_change_results() {
+        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(13);
         let a = Tensor::randn(&[24, 70], &mut rng);
         let b = Tensor::randn(&[70, 90], &mut rng);
@@ -1136,6 +1139,7 @@ mod tests {
     /// and accumulation order are identical, only the copy is gone.
     #[test]
     fn matmul_at_bit_identical_to_transpose_then_matmul() {
+        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(3);
         for &(k, m, n) in &[(6, 4, 5), (1, 1, 1), (33, 17, 29), (64, 13, 47), (128, 96, 70)] {
             let a = Tensor::randn(&[k, m], &mut rng);
@@ -1148,6 +1152,7 @@ mod tests {
     /// Same contract for the strided B-packing path.
     #[test]
     fn matmul_bt_bit_identical_to_matmul_with_transpose() {
+        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(4);
         for &(m, k, n) in &[(3, 8, 5), (1, 1, 1), (29, 17, 33), (13, 64, 47), (96, 70, 128)] {
             let a = Tensor::randn(&[m, k], &mut rng);
@@ -1160,6 +1165,7 @@ mod tests {
     /// The `_into` entry points are the same kernels on caller buffers.
     #[test]
     fn into_variants_match_tensor_variants() {
+        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(14);
         let a = Tensor::randn(&[9, 7], &mut rng);
         let b = Tensor::randn(&[7, 11], &mut rng);
@@ -1184,6 +1190,7 @@ mod tests {
     /// The threading threshold is a pure performance knob.
     #[test]
     fn min_flops_knob_does_not_change_results() {
+        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(15);
         let a = Tensor::randn(&[40, 30], &mut rng);
         let b = Tensor::randn(&[30, 50], &mut rng);

@@ -1113,6 +1113,7 @@ mod tests {
 
     #[test]
     fn with_backend_restores_previous_backend() {
+        let _kernel_state = crate::kernel_state_lock();
         let before = backend();
         let ran = with_backend(Backend::Scalar, || {
             assert_eq!(backend(), Backend::Scalar);
@@ -1125,6 +1126,7 @@ mod tests {
 
     #[test]
     fn with_backend_restores_on_panic() {
+        let _kernel_state = crate::kernel_state_lock();
         let before = backend();
         let result = std::panic::catch_unwind(|| {
             let _ = with_backend(Backend::Scalar, || panic!("boom"));
@@ -1135,6 +1137,7 @@ mod tests {
 
     #[test]
     fn unsupported_backend_is_rejected() {
+        let _kernel_state = crate::kernel_state_lock();
         #[cfg(target_arch = "x86_64")]
         let foreign = Backend::Neon;
         #[cfg(not(target_arch = "x86_64"))]
@@ -1149,6 +1152,7 @@ mod tests {
     /// values, infinities, and NaN.
     #[test]
     fn round_ties_away_matches_f32_round_on_every_backend() {
+        let _kernel_state = crate::kernel_state_lock();
         let cases: Vec<f32> = vec![
             0.0,
             -0.0,
@@ -1198,6 +1202,7 @@ mod tests {
 
     #[test]
     fn elementwise_kernels_bit_identical_across_backends() {
+        let _kernel_state = crate::kernel_state_lock();
         let input: Vec<f32> = (0..67)
             .map(|i| (i as f32 - 33.0) * 0.37)
             .chain([f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e-40])
@@ -1248,6 +1253,7 @@ mod tests {
 
     #[test]
     fn scale_add_f64_bit_identical_across_backends() {
+        let _kernel_state = crate::kernel_state_lock();
         let targets: Vec<f64> = (0..37).map(|i| i as f64 * 0.71 - 11.0).collect();
         let zs: Vec<f64> = (0..37).map(|i| (i as f64 * 1.37).sin()).collect();
         let reference: Vec<f64> = targets.iter().zip(&zs).map(|(&t, &z)| t + 0.1 * z).collect();

@@ -839,12 +839,6 @@ pub fn disk_entry_count() -> usize {
 mod tests {
     use super::*;
 
-    /// Serializes tests that touch the process-global tuning state.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn mode_round_trips_names() {
         for mode in [TuneMode::Off, TuneMode::On] {
@@ -855,7 +849,7 @@ mod tests {
 
     #[test]
     fn install_and_current_round_trip() {
-        let _guard = lock();
+        let _kernel_state = crate::kernel_state_lock();
         let t = KernelTuning {
             mode: TuneMode::On,
             gemm_threads: 3,
@@ -876,7 +870,7 @@ mod tests {
 
     #[test]
     fn plan_defaults_match_legacy_heuristic() {
-        let _guard = lock();
+        let _kernel_state = crate::kernel_state_lock();
         with_tuning(&KernelTuning::default(), || {
             let plan = gemm_plan(GemmKind::MM, 8, 70, 90, 1);
             assert_eq!(plan.workers, 1, "below the flops threshold");
@@ -886,7 +880,7 @@ mod tests {
 
     #[test]
     fn autotune_caches_winner_per_key() {
-        let _guard = lock();
+        let _kernel_state = crate::kernel_state_lock();
         clear_winners();
         let t = KernelTuning { mode: TuneMode::On, ..Default::default() };
         with_tuning(&t, || {
@@ -905,7 +899,7 @@ mod tests {
 
     #[test]
     fn tiny_products_skip_the_timing_loop() {
-        let _guard = lock();
+        let _kernel_state = crate::kernel_state_lock();
         clear_winners();
         let t = KernelTuning { mode: TuneMode::On, ..Default::default() };
         with_tuning(&t, || {
@@ -916,7 +910,7 @@ mod tests {
 
     #[test]
     fn resolve_custom_respects_mode_and_caches() {
-        let _guard = lock();
+        let _kernel_state = crate::kernel_state_lock();
         clear_winners();
         // Off: default wins, bench never runs.
         let mut ran = false;
@@ -940,7 +934,7 @@ mod tests {
 
     #[test]
     fn disk_cache_round_trips_bit_exactly() {
-        let _guard = lock();
+        let _kernel_state = crate::kernel_state_lock();
         clear_winners();
         let dir = std::env::temp_dir().join(format!("swim-tune-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -968,7 +962,7 @@ mod tests {
 
     #[test]
     fn corrupt_truncated_and_foreign_caches_are_ignored() {
-        let _guard = lock();
+        let _kernel_state = crate::kernel_state_lock();
         let dir = std::env::temp_dir().join(format!("swim-tune-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
