@@ -75,7 +75,8 @@ pub(crate) struct Collector {
     /// Blocks *this process* finished (excludes resumed ones) — drives
     /// the kill-mid-sweep test hook.
     blocks_this_run: usize,
-    /// Suppress terminal output (the `swim merge` replay path).
+    /// Suppress terminal output (serve assembly and the `swim merge`
+    /// replay).
     quiet: bool,
 }
 
@@ -164,18 +165,24 @@ fn point_doc(p: &SweepPoint) -> CurvePoint {
     }
 }
 
-/// One (device model, sigma) block of a sweep-kind experiment as a
-/// typed schema record. `with_raw` attaches the per-run matrices (shard
-/// documents and checkpoint journals of sharded runs — the mergeable
-/// form); final unsharded documents omit them.
-fn sweep_record(
-    device_model: &str,
-    sigma: f64,
-    float_acc: f64,
-    quant_acc: f64,
-    curves: &MethodCurves,
-    with_raw: bool,
-) -> SweepDoc {
+/// One computed `(device model, sigma)` block: the clean accuracies of
+/// its preparation and the per-method curves. [`sweep_block`] computes
+/// it for `swim run` and `swim serve`; `swim merge` rebuilds it from
+/// shard documents. [`emit_block`] presents and records it the same way
+/// on every path.
+pub(crate) struct Block {
+    pub(crate) model: String,
+    pub(crate) sigma: f64,
+    pub(crate) float_accuracy: f64,
+    pub(crate) quant_accuracy: f64,
+    pub(crate) curves: MethodCurves,
+}
+
+/// A block as a typed schema record. `with_raw` attaches the per-run
+/// matrices (shard documents and checkpoint journals of sharded runs —
+/// the mergeable form); final unsharded documents omit them.
+fn sweep_record(block: &Block, with_raw: bool) -> SweepDoc {
+    let curves = &block.curves;
     let raw = with_raw.then(|| RawSweepDoc {
         methods: curves
             .methods
@@ -192,10 +199,10 @@ fn sweep_record(
         insitu_runs: curves.insitu_raw.clone(),
     });
     SweepDoc {
-        device_model: device_model.to_string(),
-        sigma,
-        float_accuracy: float_acc,
-        quant_accuracy: quant_acc,
+        device_model: block.model.clone(),
+        sigma: block.sigma,
+        float_accuracy: block.float_accuracy,
+        quant_accuracy: block.quant_accuracy,
         methods: curves
             .methods
             .iter()
@@ -219,28 +226,13 @@ fn sweep_record(
 
 /// Records one finished block in the collector: the typed sweep record
 /// plus any isolated run faults, tagged with the block's coordinates.
-fn record_block(
-    spec: &ExperimentSpec,
-    collector: &mut Collector,
-    model_name: &str,
-    sigma: f64,
-    float_acc: f64,
-    quant_acc: f64,
-    curves: &MethodCurves,
-) {
-    collector.sweeps.push(sweep_record(
-        model_name,
-        sigma,
-        float_acc,
-        quant_acc,
-        curves,
-        spec.run.shard.is_some(),
-    ));
-    for m in &curves.methods {
+fn record_block(spec: &ExperimentSpec, collector: &mut Collector, block: &Block) {
+    collector.sweeps.push(sweep_record(block, spec.run.shard.is_some()));
+    for m in &block.curves.methods {
         for f in &m.faults {
             collector.faults.push(FaultDoc {
-                device_model: model_name.to_string(),
-                sigma,
+                device_model: block.model.clone(),
+                sigma: block.sigma,
                 method: m.name.clone(),
                 run: f.run,
                 seed: spec.seed,
@@ -365,9 +357,9 @@ pub fn run_spec(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, 
         resume_into(&mut collector, spec, path)?;
     }
     match spec.kind {
-        ExperimentKind::Table1 => run_table1(spec, opts, &mut collector)?,
-        ExperimentKind::Fig2 => run_fig2(spec, opts, &mut collector)?,
-        ExperimentKind::Sweep => run_generic_sweep(spec, opts, &mut collector)?,
+        ExperimentKind::Table1 | ExperimentKind::Fig2 | ExperimentKind::Sweep => {
+            run_grid(spec, opts, &mut collector)?
+        }
         ExperimentKind::Fig1 => run_fig1(spec, opts, &mut collector),
         ExperimentKind::Calibration => run_calibration(spec, opts, &mut collector),
         ExperimentKind::Ablation => run_ablation(spec, opts, &mut collector),
@@ -467,52 +459,59 @@ pub(crate) fn check_tuning_pinned(spec: &ExperimentSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// Sweeps every configured method over one `(device model, sigma)`
-/// block. `model_name` must already be validated against the registry
-/// (the spec's `validate()` guarantees it).
+/// The preparation every block of a grid spec shares: data, training,
+/// quantization and the sensitivities at the spec's evaluation batch.
 ///
-/// `shared` is the preparation every block of the spec shares. Training
-/// and the sensitivity pass depend only on the seed, scenario and
-/// training budget; the device configuration and device model enter
-/// only through the model's [`swim_cim::mapping::WeightMapper`]. So the
-/// first block run (after any resumed from a checkpoint) prepares and
-/// computes the sensitivities into `shared`, and every block sweeps a
-/// copy rebound to its own `(device model, sigma)` — byte-identical to
-/// a run that prepared for that block alone.
-fn sweep_block(
+/// Training and the sensitivity pass depend only on the seed, scenario
+/// and training budget — the inputs [`ExperimentSpec::prep_fingerprint`]
+/// hashes. The device configuration and device model enter only through
+/// the model's [`swim_cim::mapping::WeightMapper`], so the result is
+/// bound to the grid's first block and [`sweep_block`] rebinds a copy
+/// to whichever block it sweeps.
+///
+/// The result is a clone: cloning drops the layers' lowering scratch
+/// that training and the sensitivity pass grew (conv im2col/GEMM
+/// buffers of up to ~16 MiB each), which would otherwise stay resident
+/// for as long as the preparation is shared — every block of a run, and
+/// the lifetime of a serve cache entry.
+pub(crate) fn prepare_shared(spec: &ExperimentSpec) -> Prepared {
+    let sigma = spec.device.sigmas[0];
+    let model = device_model(&spec.device.models[0]);
+    let scenario = Scenario::from_spec(&spec.scenario);
+    let mut prepared =
+        prepare_with_model(scenario, spec.device.config_at(sigma), &PrepConfig::from(spec), model);
+    prepared.sensitivities(spec.montecarlo.eval_batch);
+    prepared.clone()
+}
+
+/// Sweeps every configured method over one `(device model, sigma)`
+/// block: a copy of the shared preparation, rebound to the block's
+/// device, through [`run_methods`] — byte-identical to a run that
+/// prepared for that block alone.
+pub(crate) fn sweep_block(
     spec: &ExperimentSpec,
-    shared: &mut Option<Prepared>,
+    shared: &Prepared,
     model_name: &str,
     sigma: f64,
-) -> (Prepared, MethodCurves) {
-    let device = spec.device.config_at(sigma);
-    let model = device_model_by_name(model_name)
-        .unwrap_or_else(|| panic!("validated spec has unknown device model `{model_name}`"));
-    let mut prepared = match shared {
-        Some(shared) => {
-            eprintln!(
-                "[prep] reusing the trained model and its sensitivities for {}",
-                block_label(spec, model_name, sigma)
-            );
-            let mut prepared = shared.clone();
-            prepared.model.rebind(device, model);
-            prepared
-        }
-        None => {
-            let scenario = Scenario::from_spec(&spec.scenario);
-            let mut prepared = prepare_with_model(scenario, device, &PrepConfig::from(spec), model);
-            prepared.sensitivities(spec.montecarlo.eval_batch);
-            shared.insert(prepared).clone()
-        }
-    };
-    // `run_spec` already installed the fully resolved tuning (spec >
-    // flags > env); the driver config reads it back so every layer sees
-    // one policy.
-    let t = tune::current();
-    let cfg = DriverConfig::from_spec(spec, t.gemm_threads, t.gemm_block_cols);
-    let selectors = spec.selection.selectors();
-    let curves = run_methods(&mut prepared, &selectors, &cfg);
-    (prepared, curves)
+    cfg: &DriverConfig,
+) -> Block {
+    let mut prepared = shared.clone();
+    prepared.model.rebind(spec.device.config_at(sigma), device_model(model_name));
+    let curves = run_methods(&mut prepared, &spec.selection.selectors(), cfg);
+    Block {
+        model: model_name.to_string(),
+        sigma,
+        float_accuracy: prepared.float_accuracy,
+        quant_accuracy: prepared.quant_accuracy,
+        curves,
+    }
+}
+
+/// A device model from the registry. The spec's `validate()` guarantees
+/// every name it carries is registered.
+fn device_model(name: &str) -> std::sync::Arc<dyn swim_cim::model::DeviceModel> {
+    device_model_by_name(name)
+        .unwrap_or_else(|| panic!("validated spec has unknown device model `{name}`"))
 }
 
 /// The grid of `(device model, sigma)` blocks a grid-kind spec runs,
@@ -537,41 +536,120 @@ fn block_label(spec: &ExperimentSpec, model_name: &str, sigma: f64) -> String {
     }
 }
 
-// ---------------------------------------------------------- Table 1
+/// The CSV label of a block: `{prefix}_sigma_{sigma}`, with the model
+/// name inserted when the spec runs more than one device model.
+fn block_csv_label(spec: &ExperimentSpec, prefix: &str, block: &Block) -> String {
+    if spec.device.models.len() == 1 {
+        format!("{prefix}_sigma_{}", block.sigma)
+    } else {
+        format!("{prefix}_{}_sigma_{}", block.model, block.sigma)
+    }
+}
 
-/// Emits one finished Table 1 block: the per-method table, the two §4.3
-/// speed-up summaries, and the typed records. Shared between the live
-/// run path and the `swim merge` replay (which passes a quiet collector
-/// and `csv = false`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_table1_block(
+/// Runs a grid kind (table1, fig2, sweep): the kind's header, then every
+/// block not already completed (resumed from a checkpoint journal), then
+/// the kind's trailer. The first block run prepares; later blocks reuse
+/// that preparation. Fig. 2 specs are validated to a single block.
+fn run_grid(
+    spec: &ExperimentSpec,
+    opts: &RunOptions,
+    collector: &mut Collector,
+) -> Result<(), String> {
+    let scenario = Scenario::from_spec(&spec.scenario);
+    match spec.kind {
+        ExperimentKind::Table1 => {
+            let scenario_label = match scenario {
+                // The seed binary's hardcoded header, preserved byte-for-byte.
+                Scenario::LenetMnist => "LeNet / MNIST-substitute, 4-bit".to_string(),
+                other => other.name(),
+            };
+            println!("SWIM reproduction — Table 1: {scenario_label}");
+            println!(
+                "(runs = {}; the paper used 3000. Absolute accuracies differ on the synthetic \
+                 dataset; compare method ordering, gaps, and stds.)\n",
+                spec.montecarlo.runs
+            );
+        }
+        ExperimentKind::Fig2 => {
+            println!("SWIM reproduction — {}: {}", spec.name, scenario.name());
+            println!("paper: {}\n", spec.note);
+        }
+        _ => {
+            println!("SWIM experiment — {}: {}", spec.name, scenario.name());
+            if !spec.note.is_empty() {
+                println!("note: {}", spec.note);
+            }
+            println!();
+        }
+    }
+
+    // `run_spec` already installed the fully resolved tuning (spec >
+    // flags > env); the driver config reads it back so every layer sees
+    // one policy.
+    let t = tune::current();
+    let cfg = DriverConfig::from_spec(spec, t.gemm_threads, t.gemm_block_cols);
+    let mut shared = None;
+    for (model_name, sigma) in model_sigma_grid(spec) {
+        if collector.block_done(&model_name, sigma) {
+            continue;
+        }
+        if shared.is_some() {
+            eprintln!(
+                "[prep] reusing the trained model and its sensitivities for {}",
+                block_label(spec, &model_name, sigma)
+            );
+        }
+        let shared = shared.get_or_insert_with(|| prepare_shared(spec));
+        let block = sweep_block(spec, shared, &model_name, sigma, &cfg);
+        emit_block(spec, opts.csv, collector, &block);
+        collector.finish_block(spec, &model_name, sigma)?;
+    }
+
+    if spec.kind == ExperimentKind::Table1 {
+        println!(
+            "paper shape: SWIM reaches full-write-verify accuracy at the lowest NWC at every sigma,\n\
+             with the smallest std; magnitude is second; random and in-situ need most cycles."
+        );
+    }
+    Ok(())
+}
+
+/// Presents one finished block the way its spec's kind does and records
+/// it in the collector. Live runs, the served-document assembly and the
+/// `swim merge` replay (the latter two with a quiet collector and
+/// `csv = false`) all emit through here.
+pub(crate) fn emit_block(
     spec: &ExperimentSpec,
     csv: bool,
     collector: &mut Collector,
-    model_name: &str,
-    sigma: f64,
-    float_acc: f64,
-    quant_acc: f64,
-    curves: &MethodCurves,
+    block: &Block,
 ) {
-    let label = block_label(spec, model_name, sigma);
+    match spec.kind {
+        ExperimentKind::Table1 => emit_table1_block(spec, csv, collector, block),
+        ExperimentKind::Fig2 => emit_fig2_block(spec, csv, collector, block),
+        _ => emit_sweep_block(spec, csv, collector, block),
+    }
+}
+
+// ---------------------------------------------------------- Table 1
+
+/// Emits one Table 1 block: the per-method table, the two §4.3 speed-up
+/// summaries, and the typed records.
+fn emit_table1_block(spec: &ExperimentSpec, csv: bool, collector: &mut Collector, block: &Block) {
+    let label = block_label(spec, &block.model, block.sigma);
     if !collector.quiet {
         println!(
-            "\n{label}: float accuracy {float_acc:.2}%, quantized (clean-mapped) accuracy \
-             {quant_acc:.2}%"
+            "\n{label}: float accuracy {:.2}%, quantized (clean-mapped) accuracy {:.2}%",
+            block.float_accuracy, block.quant_accuracy
         );
     }
+    let curves = &block.curves;
     let table = curves.to_table(&format!("Table 1 block, {label}"));
     collector.show(&table);
     if csv {
-        let csv_label = if spec.device.models.len() == 1 {
-            format!("table1_sigma_{sigma}")
-        } else {
-            format!("table1_{model_name}_sigma_{sigma}")
-        };
-        println!("{}", curves.to_csv(&csv_label));
+        println!("{}", curves.to_csv(&block_csv_label(spec, "table1", block)));
     }
-    record_block(spec, collector, model_name, sigma, float_acc, quant_acc, curves);
+    record_block(spec, collector, block);
 
     let Some(swim) = curves.curve("SWIM") else { return };
 
@@ -620,79 +698,24 @@ pub(crate) fn emit_table1_block(
     }
 }
 
-/// The classic `table1` output: per-sigma method tables plus the §4.3
-/// speed-up summaries.
-fn run_table1(
-    spec: &ExperimentSpec,
-    opts: &RunOptions,
-    collector: &mut Collector,
-) -> Result<(), String> {
-    let scenario = Scenario::from_spec(&spec.scenario);
-    let scenario_label = match scenario {
-        // The seed binary's hardcoded header, preserved byte-for-byte.
-        Scenario::LenetMnist => "LeNet / MNIST-substitute, 4-bit".to_string(),
-        other => other.name(),
-    };
-    let runs = spec.montecarlo.runs;
-    println!("SWIM reproduction — Table 1: {scenario_label}");
-    println!(
-        "(runs = {runs}; the paper used 3000. Absolute accuracies differ on the synthetic \
-         dataset; compare method ordering, gaps, and stds.)\n"
-    );
-
-    let mut shared = None;
-    for (model_name, sigma) in model_sigma_grid(spec) {
-        let model_name = model_name.as_str();
-        if collector.block_done(model_name, sigma) {
-            continue;
-        }
-        let (prepared, curves) = sweep_block(spec, &mut shared, model_name, sigma);
-        emit_table1_block(
-            spec,
-            opts.csv,
-            collector,
-            model_name,
-            sigma,
-            prepared.float_accuracy,
-            prepared.quant_accuracy,
-            &curves,
-        );
-        collector.finish_block(spec, model_name, sigma)?;
-    }
-
-    println!(
-        "paper shape: SWIM reaches full-write-verify accuracy at the lowest NWC at every sigma,\n\
-         with the smallest std; magnitude is second; random and in-situ need most cycles."
-    );
-    Ok(())
-}
-
 // ------------------------------------------------------------ Fig. 2
 
 /// Emits the single Fig. 2 block: the sweep table, the typed records,
-/// and the paper's shape checks. Shared with the `swim merge` replay.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_fig2_block(
-    spec: &ExperimentSpec,
-    csv: bool,
-    collector: &mut Collector,
-    model_name: &str,
-    sigma: f64,
-    float_acc: f64,
-    quant_acc: f64,
-    curves: &MethodCurves,
-) {
+/// and the paper's shape checks.
+fn emit_fig2_block(spec: &ExperimentSpec, csv: bool, collector: &mut Collector, block: &Block) {
     if !collector.quiet {
         println!(
-            "float accuracy {float_acc:.2}%, quantized (clean-mapped) accuracy {quant_acc:.2}%"
+            "float accuracy {:.2}%, quantized (clean-mapped) accuracy {:.2}%",
+            block.float_accuracy, block.quant_accuracy
         );
     }
+    let curves = &block.curves;
     let table = curves.to_table(&format!("{} accuracy vs NWC", spec.name));
     collector.show(&table);
     if csv {
         println!("{}", curves.to_csv(&spec.name));
     }
-    record_block(spec, collector, model_name, sigma, float_acc, quant_acc, curves);
+    record_block(spec, collector, block);
 
     if collector.quiet {
         return;
@@ -723,104 +746,24 @@ pub(crate) fn emit_fig2_block(
     }
 }
 
-/// The classic Fig. 2 panel output: one sweep with the paper's shape
-/// checks.
-fn run_fig2(
-    spec: &ExperimentSpec,
-    opts: &RunOptions,
-    collector: &mut Collector,
-) -> Result<(), String> {
-    let scenario = Scenario::from_spec(&spec.scenario);
-    println!("SWIM reproduction — {}: {}", spec.name, scenario.name());
-    println!("paper: {}\n", spec.note);
-
-    let sigma = spec.device.sigmas[0];
-    let model_name = spec.device.models[0].as_str();
-    if collector.block_done(model_name, sigma) {
-        return Ok(());
-    }
-    let (prepared, curves) = sweep_block(spec, &mut None, model_name, sigma);
-    emit_fig2_block(
-        spec,
-        opts.csv,
-        collector,
-        model_name,
-        sigma,
-        prepared.float_accuracy,
-        prepared.quant_accuracy,
-        &curves,
-    );
-    collector.finish_block(spec, model_name, sigma)
-}
-
 // ----------------------------------------------------- generic sweep
 
-/// Emits one finished generic-sweep block. Shared with the `swim merge`
-/// replay.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_sweep_block(
-    spec: &ExperimentSpec,
-    csv: bool,
-    collector: &mut Collector,
-    model_name: &str,
-    sigma: f64,
-    float_acc: f64,
-    quant_acc: f64,
-    curves: &MethodCurves,
-) {
-    let label = block_label(spec, model_name, sigma);
+/// Emits one generic-sweep block: per-block method table, no paper
+/// framing.
+fn emit_sweep_block(spec: &ExperimentSpec, csv: bool, collector: &mut Collector, block: &Block) {
+    let label = block_label(spec, &block.model, block.sigma);
     if !collector.quiet {
         println!(
-            "{label}: float accuracy {float_acc:.2}%, quantized (clean-mapped) accuracy \
-             {quant_acc:.2}%"
+            "{label}: float accuracy {:.2}%, quantized (clean-mapped) accuracy {:.2}%",
+            block.float_accuracy, block.quant_accuracy
         );
     }
-    let table = curves.to_table(&format!("{} accuracy vs NWC ({label})", spec.name));
+    let table = block.curves.to_table(&format!("{} accuracy vs NWC ({label})", spec.name));
     collector.show(&table);
     if csv {
-        let csv_label = if spec.device.models.len() == 1 {
-            format!("{}_sigma_{sigma}", spec.name)
-        } else {
-            format!("{}_{model_name}_sigma_{sigma}", spec.name)
-        };
-        println!("{}", curves.to_csv(&csv_label));
+        println!("{}", block.curves.to_csv(&block_csv_label(spec, &spec.name, block)));
     }
-    record_block(spec, collector, model_name, sigma, float_acc, quant_acc, curves);
-}
-
-/// Generic sweep presentation for custom specs: per-sigma method
-/// tables, no paper framing.
-fn run_generic_sweep(
-    spec: &ExperimentSpec,
-    opts: &RunOptions,
-    collector: &mut Collector,
-) -> Result<(), String> {
-    let scenario = Scenario::from_spec(&spec.scenario);
-    println!("SWIM experiment — {}: {}", spec.name, scenario.name());
-    if !spec.note.is_empty() {
-        println!("note: {}", spec.note);
-    }
-    println!();
-    let mut shared = None;
-    for (model_name, sigma) in model_sigma_grid(spec) {
-        let model_name = model_name.as_str();
-        if collector.block_done(model_name, sigma) {
-            continue;
-        }
-        let (prepared, curves) = sweep_block(spec, &mut shared, model_name, sigma);
-        emit_sweep_block(
-            spec,
-            opts.csv,
-            collector,
-            model_name,
-            sigma,
-            prepared.float_accuracy,
-            prepared.quant_accuracy,
-            &curves,
-        );
-        collector.finish_block(spec, model_name, sigma)?;
-    }
-    Ok(())
+    record_block(spec, collector, block);
 }
 
 // ------------------------------------------------------------ Fig. 1
@@ -837,7 +780,7 @@ fn run_fig1(spec: &ExperimentSpec, opts: &RunOptions, collector: &mut Collector)
     let device = spec.device.config_at(sigma);
     let scenario = Scenario::from_spec(&spec.scenario);
     let prep_cfg = PrepConfig::from(spec);
-    let model = device_model_by_name(&spec.device.models[0]).expect("validated model");
+    let model = device_model(&spec.device.models[0]);
     let mut prepared = prepare_with_model(scenario, device, &prep_cfg, model);
 
     eprintln!("[fig1] computing sensitivities...");
@@ -972,7 +915,7 @@ fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Colle
     let device = spec.device.config_at(sigma);
     let scenario = Scenario::from_spec(&spec.scenario);
     let prep_cfg = PrepConfig::from(spec);
-    let model = device_model_by_name(&spec.device.models[0]).expect("validated model");
+    let model = device_model(&spec.device.models[0]);
     let mut prepared = prepare_with_model(scenario, device, &prep_cfg, model);
     let loss = SoftmaxCrossEntropy::new();
     let sens = prepared.model.sensitivities(&loss, &prepared.train, 128);
@@ -1272,7 +1215,14 @@ mod tests {
             insitu: vec![InsituStats { nwc: 0.5, accuracy: acc }],
             insitu_raw: Vec::new(),
         };
-        let rec = sweep_record("rram-gaussian", 0.1, 99.0, 98.5, &curves, false);
+        let block = Block {
+            model: "rram-gaussian".into(),
+            sigma: 0.1,
+            float_accuracy: 99.0,
+            quant_accuracy: 98.5,
+            curves,
+        };
+        let rec = sweep_record(&block, false);
         assert_eq!(rec.device_model, "rram-gaussian");
         assert_eq!(rec.sigma, 0.1);
         assert_eq!(rec.methods[0].name, "SWIM");
@@ -1307,14 +1257,14 @@ mod tests {
                     insitu: vec![crate::driver::InsituStats { nwc: 0.4, accuracy: acc }],
                     insitu_raw: Vec::new(),
                 };
-                collector.sweeps.push(sweep_record(
-                    &spec.device.models[0],
-                    spec.device.sigmas[0],
-                    99.1,
-                    98.6,
-                    &curves,
-                    spec.run.shard.is_some(),
-                ));
+                let block = Block {
+                    model: spec.device.models[0].clone(),
+                    sigma: spec.device.sigmas[0],
+                    float_accuracy: 99.1,
+                    quant_accuracy: 98.6,
+                    curves,
+                };
+                collector.sweeps.push(sweep_record(&block, spec.run.shard.is_some()));
                 if spec.kind == ExperimentKind::Fig1 {
                     collector.correlations =
                         Some(Correlations { magnitude: 0.1, sensitivity: 0.8 });

@@ -11,11 +11,8 @@
 //! time, which records the sum of the shard times). The bit-identity is
 //! pinned by `crates/bench/tests/merge_bitident.rs`.
 
-use crate::driver::{curves_from_raw, MethodCurves};
-use crate::experiment::{
-    emit_fig2_block, emit_sweep_block, emit_table1_block, model_sigma_grid, results_document,
-    Collector,
-};
+use crate::driver::curves_from_raw;
+use crate::experiment::{emit_block, model_sigma_grid, results_document, Block, Collector};
 use swim_core::montecarlo::RunFault;
 use swim_exp::spec::{ExperimentKind, ExperimentSpec};
 use swim_report::schema::{ResultsDoc, SweepDoc};
@@ -132,40 +129,8 @@ pub fn merge_docs(shards: &[ShardInput]) -> Result<ResultsDoc, String> {
 
     let mut collector = Collector::quiet();
     for (model_name, sigma) in model_sigma_grid(&spec) {
-        let model_name = model_name.as_str();
-        let (float_acc, quant_acc, curves) = merge_block(&spec, &ordered, model_name, sigma)?;
-        match spec.kind {
-            ExperimentKind::Table1 => emit_table1_block(
-                &spec,
-                false,
-                &mut collector,
-                model_name,
-                sigma,
-                float_acc,
-                quant_acc,
-                &curves,
-            ),
-            ExperimentKind::Fig2 => emit_fig2_block(
-                &spec,
-                false,
-                &mut collector,
-                model_name,
-                sigma,
-                float_acc,
-                quant_acc,
-                &curves,
-            ),
-            _ => emit_sweep_block(
-                &spec,
-                false,
-                &mut collector,
-                model_name,
-                sigma,
-                float_acc,
-                quant_acc,
-                &curves,
-            ),
-        }
+        let block = merge_block(&spec, &ordered, &model_name, sigma)?;
+        emit_block(&spec, false, &mut collector, &block);
     }
     let wall_time: f64 = ordered.iter().map(|(_, d)| d.wall_time_s).sum();
     let mut doc = results_document(&spec, collector, wall_time);
@@ -200,16 +165,15 @@ fn block_of<'a>(
         .ok_or_else(|| format!("{label}: missing block ({model_name}, sigma={sigma})"))
 }
 
-/// Rebuilds one `(model, sigma)` block's curves from the shard
-/// documents: concatenates the raw per-run rows in shard order,
-/// re-attaches the recorded faults at their global indices, and
-/// re-aggregates.
+/// Rebuilds one `(model, sigma)` block from the shard documents:
+/// concatenates the raw per-run rows in shard order, re-attaches the
+/// recorded faults at their global indices, and re-aggregates.
 fn merge_block(
     spec: &ExperimentSpec,
     ordered: &[&ShardInput],
     model_name: &str,
     sigma: f64,
-) -> Result<(f64, f64, MethodCurves), String> {
+) -> Result<Block, String> {
     let (label0, doc0) = ordered[0];
     let first = block_of(label0, doc0, model_name, sigma)?;
     let method_names: Vec<&str> = first
@@ -283,7 +247,13 @@ fn merge_block(
         .zip(faults)
         .map(|((name, raw), faults)| (name.to_string(), raw, faults))
         .collect();
-    Ok((float_acc, quant_acc, curves_from_raw(&spec.sweep.fractions, methods, insitu_raw)))
+    Ok(Block {
+        model: model_name.to_string(),
+        sigma,
+        float_accuracy: float_acc,
+        quant_accuracy: quant_acc,
+        curves: curves_from_raw(&spec.sweep.fractions, methods, insitu_raw),
+    })
 }
 
 #[cfg(test)]

@@ -17,11 +17,13 @@ use swim_nn::Network;
 
 /// A trained, quantized, device-bound experiment setup.
 ///
-/// `Clone` is deliberate: `swim run` prepares once per spec and hands
-/// each `(device model, sigma)` block its own copy rebound to that
-/// block's device, and the serve path caches one `Prepared` per
-/// preparation fingerprint and hands each job block its own copy. The
-/// memoized sensitivities are shared between copies, not duplicated.
+/// `Clone` is deliberate: one `Prepared` serves every `(device model,
+/// sigma)` block that shares its training prefix
+/// ([`swim_exp::spec::ExperimentSpec::prep_fingerprint`]). `swim run`
+/// prepares once per spec and the serve cache once per fingerprint;
+/// either way each block sweeps its own copy, rebound to the block's
+/// device. The memoized sensitivities are shared between copies, not
+/// duplicated.
 #[derive(Clone)]
 pub struct Prepared {
     /// The quantized model bound to the device configuration.

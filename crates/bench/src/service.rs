@@ -4,61 +4,57 @@
 //! Three responsibilities live here, on the bench side of the
 //! service/engine seam:
 //!
-//! 1. **Block computation.** One `(device model, sigma)` block =
-//!    preparation (train → quantize → bind device) + the multi-method
-//!    sweep. Intra-block Monte Carlo runs serially (`threads = 1`); all
-//!    parallelism comes from the service scheduling many blocks of many
-//!    jobs onto the shared [`swim_core::pool::WorkerPool`] — this is
-//!    what replaces the CLI's per-sweep `thread::scope`. Results are
-//!    unaffected: the Monte Carlo harness is bit-identical across
-//!    thread counts by construction.
-//! 2. **The prepared-model cache.** Preparation is the expensive,
-//!    highly shareable stage. It is keyed by
-//!    [`ExperimentSpec::prep_fingerprint`] — the canonical hash of
-//!    exactly the spec prefix that determines the trained model — so a
-//!    resubmission with a different sweep/method/budget suffix skips
-//!    training entirely. An entry carries its memoized sensitivities,
-//!    so a hit at the same evaluation batch also skips the
-//!    second-derivative pass (another batch recomputes them for that
-//!    block only). Hits and misses surface in `/metrics` and in
-//!    per-block job provenance.
+//! 1. **Block computation.** One `(device model, sigma)` block is
+//!    [`sweep_block`] over the spec's shared preparation — the same
+//!    function `swim run` calls. Intra-block Monte Carlo runs serially
+//!    (`threads = 1`); all parallelism comes from the service scheduling
+//!    many blocks of many jobs onto the shared
+//!    [`swim_core::pool::WorkerPool`] — this is what replaces the CLI's
+//!    per-sweep `thread::scope`. Results are unaffected: the Monte Carlo
+//!    harness is bit-identical across thread counts by construction.
+//! 2. **The prepared-model cache.** Preparation (train → quantize →
+//!    sensitivities) is the expensive, highly shareable stage. It is
+//!    keyed by [`ExperimentSpec::prep_fingerprint`] — the canonical hash
+//!    of the training prefix (seed, SIMD backend, tune mode, scenario,
+//!    training budget), which excludes the device — so every block of a
+//!    job, and every later job with the same prefix, rebinds a copy of
+//!    one entry to its own `(device model, sigma)`. Each key holds a
+//!    `OnceLock`: concurrent blocks asking for a missing key wait for
+//!    one training instead of each running their own, so a key misses
+//!    exactly once. An entry carries its memoized sensitivities, so a
+//!    hit at the same evaluation batch also skips the second-derivative
+//!    pass (another batch recomputes them for that block only). Hits and
+//!    misses surface in `/metrics` and in per-block job provenance.
 //! 3. **Document assembly.** Blocks complete in arbitrary order on the
 //!    pool; the final document replays them through a quiet
-//!    `Collector` in grid order (the same replay `swim merge` uses),
-//!    so the served document is byte-identical to `swim run`'s for the
-//!    same spec — modulo `wall_time_s`, the one legitimately differing
-//!    field.
+//!    `Collector` in grid order with [`emit_block`] (as `swim merge`
+//!    does), so the served document is byte-identical to `swim run`'s
+//!    for the same spec — modulo `wall_time_s`, the one legitimately
+//!    differing field.
 
 use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use swim_cim::model::device_model_by_name;
 use swim_exp::spec::{ExperimentKind, ExperimentSpec};
 use swim_serve::server::{BlockOutcome, BlockPayload, JobEngine};
 use swim_serve::{serve_forever, Server, ServerConfig};
 
 use crate::cli::{apply_gemm_flags, Args};
-use crate::driver::{run_methods, DriverConfig, MethodCurves};
+use crate::driver::DriverConfig;
 use crate::experiment::{
-    check_backend_pinned, check_tuning_pinned, emit_fig2_block, emit_sweep_block,
-    emit_table1_block, model_sigma_grid, results_document, Collector,
+    check_backend_pinned, check_tuning_pinned, emit_block, model_sigma_grid, prepare_shared,
+    results_document, sweep_block, Block, Collector,
 };
-use crate::prep::{prepare_with_model, PrepConfig, Prepared, Scenario};
-
-/// What one computed block carries to assembly (opaque to the service).
-struct ServiceBlock {
-    float_accuracy: f64,
-    quant_accuracy: f64,
-    curves: MethodCurves,
-}
+use crate::prep::Prepared;
 
 /// The real engine: prepared-model cache + block compute + assembly.
 pub struct ServiceEngine {
-    /// Prepared models keyed by preparation fingerprint.
-    cache: Mutex<HashMap<String, Prepared>>,
+    /// Shared preparations keyed by training fingerprint; each cell is
+    /// filled by exactly one block.
+    cache: Mutex<HashMap<String, Arc<OnceLock<Prepared>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     gemm_threads: usize,
@@ -75,41 +71,6 @@ impl ServiceEngine {
             gemm_threads,
             gemm_block,
         }
-    }
-
-    /// Clones the cached preparation for `fingerprint`, or prepares and
-    /// caches it together with its sensitivities at the spec's
-    /// evaluation batch. Returns `(prepared, cache_hit)`.
-    ///
-    /// On concurrent misses for the same key both workers prepare; the
-    /// preparation is deterministic, so last-insert-wins is harmless —
-    /// preferable to serializing unrelated misses behind one lock.
-    fn prepared_for(
-        &self,
-        spec: &ExperimentSpec,
-        model_name: &str,
-        sigma: f64,
-        fingerprint: &str,
-    ) -> Result<(Prepared, bool), String> {
-        if let Some(prepared) = self.cache.lock().expect("prep cache lock").get(fingerprint) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((prepared.clone(), true));
-        }
-        let scenario = Scenario::from_spec(&spec.scenario);
-        let device = spec.device.config_at(sigma);
-        let prep_cfg = PrepConfig::from(spec);
-        let model = device_model_by_name(model_name)
-            .ok_or_else(|| format!("unknown device model `{model_name}`"))?;
-        let mut prepared = prepare_with_model(scenario, device, &prep_cfg, model);
-        // Memoize the sensitivities before caching, so every hit at the
-        // same evaluation batch skips the second-derivative pass too.
-        prepared.sensitivities(spec.montecarlo.eval_batch);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.cache
-            .lock()
-            .expect("prep cache lock")
-            .insert(fingerprint.to_string(), prepared.clone());
-        Ok((prepared, false))
     }
 }
 
@@ -151,10 +112,20 @@ impl JobEngine for ServiceEngine {
         device_model: &str,
         sigma: f64,
     ) -> Result<BlockOutcome, String> {
-        let fingerprint = spec.prep_fingerprint(device_model, sigma);
         let prep_start = Instant::now();
-        let (mut prepared, cache_hit) =
-            self.prepared_for(spec, device_model, sigma, &fingerprint)?;
+        // The map lock covers only the lookup; training happens in the
+        // key's own cell, so misses on unrelated keys train in parallel
+        // while blocks on the same key wait for its one training.
+        let cell = Arc::clone(
+            self.cache.lock().expect("prep cache lock").entry(spec.prep_fingerprint()).or_default(),
+        );
+        let mut cache_hit = true;
+        let shared = cell.get_or_init(|| {
+            cache_hit = false;
+            prepare_shared(spec)
+        });
+        let counter = if cache_hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         let prep_seconds = prep_start.elapsed().as_secs_f64();
 
         let sweep_start = Instant::now();
@@ -164,20 +135,10 @@ impl JobEngine for ServiceEngine {
         // is bit-identical across thread counts, so this changes
         // nothing but scheduling.
         cfg.threads = 1;
-        let selectors = spec.selection.selectors();
-        let curves = run_methods(&mut prepared, &selectors, &cfg);
+        let block = sweep_block(spec, shared, device_model, sigma, &cfg);
         let sweep_seconds = sweep_start.elapsed().as_secs_f64();
 
-        Ok(BlockOutcome {
-            payload: Box::new(ServiceBlock {
-                float_accuracy: prepared.float_accuracy,
-                quant_accuracy: prepared.quant_accuracy,
-                curves,
-            }),
-            cache_hit,
-            prep_seconds,
-            sweep_seconds,
-        })
+        Ok(BlockOutcome { payload: Box::new(block), cache_hit, prep_seconds, sweep_seconds })
     }
 
     fn assemble(
@@ -186,54 +147,22 @@ impl JobEngine for ServiceEngine {
         payloads: Vec<BlockPayload>,
         wall_time_s: f64,
     ) -> Result<String, String> {
-        let grid = model_sigma_grid(spec);
-        if payloads.len() != grid.len() {
+        let blocks = model_sigma_grid(spec).len();
+        if payloads.len() != blocks {
             return Err(format!(
-                "assembly got {} block payload(s) for a {}-block grid",
-                payloads.len(),
-                grid.len()
+                "assembly got {} block payload(s) for a {blocks}-block grid",
+                payloads.len()
             ));
         }
         // Replay presentation in grid order on a quiet collector — the
         // same path `swim merge` uses, which is what makes the served
         // document byte-identical to `swim run`'s (modulo wall time).
         let mut collector = Collector::quiet();
-        for ((model_name, sigma), payload) in grid.iter().zip(payloads) {
+        for payload in payloads {
             let block = payload
-                .downcast::<ServiceBlock>()
-                .map_err(|_| "block payload is not a ServiceBlock".to_string())?;
-            match spec.kind {
-                ExperimentKind::Table1 => emit_table1_block(
-                    spec,
-                    false,
-                    &mut collector,
-                    model_name,
-                    *sigma,
-                    block.float_accuracy,
-                    block.quant_accuracy,
-                    &block.curves,
-                ),
-                ExperimentKind::Fig2 => emit_fig2_block(
-                    spec,
-                    false,
-                    &mut collector,
-                    model_name,
-                    *sigma,
-                    block.float_accuracy,
-                    block.quant_accuracy,
-                    &block.curves,
-                ),
-                _ => emit_sweep_block(
-                    spec,
-                    false,
-                    &mut collector,
-                    model_name,
-                    *sigma,
-                    block.float_accuracy,
-                    block.quant_accuracy,
-                    &block.curves,
-                ),
-            }
+                .downcast::<Block>()
+                .map_err(|_| "block payload is not a Block".to_string())?;
+            emit_block(spec, false, &mut collector, &block);
         }
         Ok(results_document(spec, collector, wall_time_s).to_json())
     }

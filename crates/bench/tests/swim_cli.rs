@@ -438,3 +438,40 @@ fn three_sigma_table1_trains_once() {
         assert!(stdout.contains(&format!("Table 1 block, sigma = {sigma}")), "{stdout}");
     }
 }
+
+/// The one grid loop prints a kind's header once, one block line per
+/// grid block in grid order, then the kind's trailer once.
+#[test]
+fn two_sigma_table1_prints_header_blocks_and_trailer_in_order() {
+    let out = swim(&[
+        "preset",
+        "table1",
+        "--quick",
+        "--set",
+        "sigmas=0.15,0.1",
+        "--set",
+        "samples=120",
+        "--set",
+        "epochs=1",
+        "--set",
+        "runs=1",
+        "--set",
+        "threads=1",
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    let at = |prefix: &str| -> Vec<usize> {
+        lines.iter().enumerate().filter(|(_, l)| l.starts_with(prefix)).map(|(i, _)| i).collect()
+    };
+    let header = at("SWIM reproduction — Table 1: ");
+    let runs = at("(runs = 1; the paper used 3000.");
+    let blocks = at("sigma = ");
+    let trailer = at("paper shape: ");
+    assert_eq!((header.len(), runs.len(), trailer.len()), (1, 1, 1), "{stdout}");
+    assert_eq!(blocks.len(), 2, "{stdout}");
+    assert!(lines[blocks[0]].starts_with("sigma = 0.15: float accuracy"), "{stdout}");
+    assert!(lines[blocks[1]].starts_with("sigma = 0.1: float accuracy"), "{stdout}");
+    assert!(header[0] < runs[0] && runs[0] < blocks[0], "{stdout}");
+    assert!(blocks[1] < trailer[0] && trailer[0] == lines.len() - 2, "{stdout}");
+}

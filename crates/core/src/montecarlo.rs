@@ -18,11 +18,11 @@ use swim_tensor::Prng;
 /// Runs `f(run_index, rng)` for `runs` independent runs across
 /// `threads` worker threads, preserving result order.
 ///
-/// Workers pull *chunks* of the result vector from a queue and write
-/// into their disjoint slices directly — there is no shared lock on the
-/// results, so replication throughput scales with cores. Run `r` always
-/// draws from `base.fork(r)`, so the output is bit-identical for every
-/// `threads` setting.
+/// A one-slot-per-run wrapper over the harness's one worker loop (see
+/// [`parallel_fill_rows`]): workers pull *chunks* of the result vector
+/// from a queue and write into their disjoint slices directly. Run `r`
+/// always draws from `base.fork(r)`, so the output is bit-identical for
+/// every `threads` setting.
 ///
 /// `runs == 0` returns an empty vector without spawning any workers.
 ///
@@ -36,10 +36,31 @@ where
     T: Send,
     F: Fn(usize, Prng) -> T + Sync,
 {
-    parallel_map_with(runs, threads, base, || (), |(), r, rng| f(r, rng))
+    let mut slots: Vec<Option<T>> = (0..runs).map(|_| None).collect();
+    fill_rows(
+        "parallel_map",
+        runs,
+        1,
+        threads,
+        base,
+        0,
+        PanicPolicy::FailFast,
+        &mut slots,
+        || (),
+        |(), r, rng, slot| slot[0] = Some(f(r, rng)),
+    );
+    slots.into_iter().map(|slot| slot.expect("every run index was processed")).collect()
 }
 
-/// [`parallel_map`] with per-worker scratch state.
+/// Runs `f(state, run_index, rng, row)` for `runs` independent runs
+/// across `threads` worker threads, writing results into a
+/// caller-provided flat row-major matrix.
+///
+/// Run `r` receives the mutable row `out[r·row_len .. (r+1)·row_len]`
+/// and must fully overwrite it. This is the zero-allocation form of the
+/// harness: the caller allocates the matrix once, so a run adds no
+/// per-run heap traffic (provided `f` itself is allocation-free — which
+/// the sweep closure is, see `tests/alloc_free.rs`).
 ///
 /// `init` runs once on each worker thread (and once total on the serial
 /// path); the resulting state is passed `&mut` to every run that worker
@@ -47,118 +68,11 @@ where
 /// one set of programming buffers across a worker's whole share of the
 /// Monte Carlo budget instead of reallocating per run.
 ///
-/// The schedule-independence contract is unchanged — run `r` still draws
-/// only from `base.fork(r)` — but it now also requires `f` to be
-/// *state-oblivious*: the value returned for run `r` must not depend on
+/// Run `r` draws only from `base.fork(r)`, and `f` must be
+/// *state-oblivious*: the row written for run `r` must not depend on
 /// what previous runs left in the scratch (e.g. every buffer `f` reads
-/// is fully overwritten first). Under that condition results are
-/// bit-identical for every `threads` value.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero, or if `f` panics for some run — the
-/// panic is propagated with the offending run index.
-pub fn parallel_map_with<T, S, I, F>(
-    runs: usize,
-    threads: usize,
-    base: &Prng,
-    init: I,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, Prng) -> T + Sync,
-{
-    assert!(threads > 0, "threads must be positive");
-    if runs == 0 {
-        return Vec::new();
-    }
-    let workers = threads.min(runs);
-    if workers == 1 {
-        let mut state = init();
-        return (0..runs)
-            .map(|r| {
-                std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut state, r, base.fork(r as u64))))
-                    .unwrap_or_else(|payload| {
-                        panic!("parallel_map: run {r} panicked: {}", panic_detail(payload.as_ref()))
-                    })
-            })
-            .collect();
-    }
-
-    let mut slots: Vec<Option<T>> = (0..runs).map(|_| None).collect();
-    // Chunks several times smaller than a fair share keep the queue
-    // balancing uneven run times without lock traffic per run.
-    let chunk = (runs / (workers * 4)).max(1);
-    let first_panic: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    let abort = AtomicBool::new(false);
-
-    let (tx, rx) = mpsc::channel();
-    for (ci, slice) in slots.chunks_mut(chunk).enumerate() {
-        tx.send((ci * chunk, slice)).expect("receiver alive");
-    }
-    drop(tx);
-    let queue = Mutex::new(rx);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let next = queue.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).recv();
-                    let Ok((start, slice)) = next else { break };
-                    for (offset, slot) in slice.iter_mut().enumerate() {
-                        let r = start + offset;
-                        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            f(&mut state, r, base.fork(r as u64))
-                        })) {
-                            Ok(value) => *slot = Some(value),
-                            Err(payload) => {
-                                let mut guard = first_panic
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                                // Keep the lowest run index for a stable message.
-                                match &*guard {
-                                    Some((held, _)) if *held <= r => {}
-                                    _ => *guard = Some((r, payload)),
-                                }
-                                abort.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    // The receiver still holds borrows of `slots` chunks that were never
-    // claimed (abort path); drop it before consuming the results.
-    drop(queue);
-
-    if let Some((r, payload)) =
-        first_panic.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner())
-    {
-        panic!("parallel_map: run {r} panicked: {}", panic_detail(payload.as_ref()));
-    }
-    slots.into_iter().map(|slot| slot.expect("every run index was processed")).collect()
-}
-
-/// [`parallel_map_with`] writing results into a caller-provided flat
-/// row-major matrix instead of returning per-run values.
-///
-/// Run `r` receives the mutable row `out[r·row_len .. (r+1)·row_len]`
-/// and must fully overwrite it. This is the zero-allocation variant of
-/// the harness: the caller allocates the matrix once, so a run adds no
-/// per-run heap traffic (provided `f` itself is allocation-free — which
-/// the sweep closure is, see `tests/alloc_free.rs`). The
-/// schedule-independence contract is unchanged: run `r` draws only from
-/// `base.fork(r)`, so the matrix contents are bit-identical for every
-/// `threads` value.
+/// is fully overwritten first). Under that condition the matrix
+/// contents are bit-identical for every `threads` value.
 ///
 /// # Panics
 ///
@@ -268,6 +182,30 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, Prng, &mut [P]) + Sync,
 {
+    fill_rows("parallel_fill_rows", runs, row_len, threads, base, run_offset, policy, out, init, f)
+}
+
+/// The harness's one worker loop, behind [`parallel_map`] and
+/// [`parallel_fill_rows_isolated`]. A fail-fast panic is rethrown as
+/// `"{caller}: run {r} panicked: {message}"`.
+#[allow(clippy::too_many_arguments)]
+fn fill_rows<P, S, I, F>(
+    caller: &str,
+    runs: usize,
+    row_len: usize,
+    threads: usize,
+    base: &Prng,
+    run_offset: usize,
+    policy: PanicPolicy,
+    out: &mut [P],
+    init: I,
+    f: F,
+) -> Vec<RunFault>
+where
+    P: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, Prng, &mut [P]) + Sync,
+{
     assert!(threads > 0, "threads must be positive");
     assert!(row_len > 0, "row_len must be positive");
     assert_eq!(out.len(), runs * row_len, "output matrix size mismatch");
@@ -288,7 +226,7 @@ where
                     let message = panic_detail(payload.as_ref());
                     match policy {
                         PanicPolicy::FailFast => {
-                            panic!("parallel_fill_rows: run {r} panicked: {message}")
+                            panic!("{caller}: run {r} panicked: {message}")
                         }
                         PanicPolicy::Isolate => faults.push(RunFault { run: r, message }),
                     }
@@ -352,7 +290,7 @@ where
     faults.sort_by_key(|f| f.run);
     if policy == PanicPolicy::FailFast {
         if let Some(first) = faults.first() {
-            panic!("parallel_fill_rows: run {} panicked: {}", first.run, first.message);
+            panic!("{caller}: run {} panicked: {}", first.run, first.message);
         }
     }
     faults
@@ -669,23 +607,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_with_reuses_worker_state() {
+    fn parallel_fill_rows_reuses_worker_state() {
         use std::sync::atomic::AtomicUsize;
         let base = Prng::seed_from_u64(7);
         let inits = AtomicUsize::new(0);
-        let out = parallel_map_with(
+        let mut out = vec![0usize; 32];
+        parallel_fill_rows(
             32,
+            1,
             4,
             &base,
+            &mut out,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 Vec::<u8>::with_capacity(64)
             },
-            |buf, r, _| {
+            |buf, r, _, row| {
                 // State must be fully overwritten by a well-behaved f.
                 buf.clear();
                 buf.extend_from_slice(&(r as u64).to_le_bytes());
-                buf.len()
+                row[0] = buf.len();
             },
         );
         assert_eq!(out, vec![8; 32]);
@@ -694,8 +635,16 @@ mod tests {
 
         // And the serial path initializes exactly once.
         inits.store(0, Ordering::Relaxed);
-        let _ =
-            parallel_map_with(5, 1, &base, || inits.fetch_add(1, Ordering::Relaxed), |_, r, _| r);
+        let mut out = vec![0usize; 5];
+        parallel_fill_rows(
+            5,
+            1,
+            1,
+            &base,
+            &mut out,
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, r, _, row| row[0] = r,
+        );
         assert_eq!(inits.load(Ordering::Relaxed), 1);
     }
 

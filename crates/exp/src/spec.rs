@@ -1197,19 +1197,21 @@ impl ExperimentSpec {
 
     // ------------------------------------------------- fingerprint
 
-    /// The canonical *preparation prefix* of this spec for one
-    /// `(device model, sigma)` block: exactly the inputs that determine
-    /// the trained, quantized, device-bound model — scenario, training
-    /// budget, seed, the resolved device configuration at `sigma`, and
-    /// the device-model name. Everything downstream (selection methods,
-    /// sweep grid, Monte Carlo budget, sharding) is deliberately
-    /// excluded: two specs that differ only there share preparation
-    /// work, which is what the service's prepared-model cache exploits.
+    /// The canonical *preparation prefix* of this spec: exactly the
+    /// inputs that determine the trained, quantized model and its
+    /// sensitivities — seed, SIMD backend, tune mode (when set),
+    /// scenario and training budget. The device section is excluded:
+    /// training and quantization never read it, and a prepared model is
+    /// rebound to each `(device model, sigma)` block
+    /// (`QuantizedModel::rebind`). Everything downstream (selection
+    /// methods, sweep grid, Monte Carlo budget, sharding) is excluded
+    /// too: two specs that differ only there share preparation work,
+    /// which is what the service's prepared-model cache exploits.
     ///
     /// The prefix is a [`Value`] tree with a fixed key order, so its
     /// JSON form is canonical: equal preparation inputs ⇒ byte-equal
     /// JSON ⇒ equal [`ExperimentSpec::prep_fingerprint`].
-    pub fn prep_prefix(&self, device_model: &str, sigma: f64) -> Value {
+    pub fn prep_prefix(&self) -> Value {
         let mut root = Value::table();
         root.set("seed", Value::Int(self.seed as i64));
         // Training runs through the GEMM kernels, whose accumulation
@@ -1237,29 +1239,6 @@ impl ExperimentSpec {
         training.set("lr", f32_value(self.training.lr));
         training.set("batch", Value::Int(self.training.batch as i64));
         root.set("training", training);
-
-        // Serialize the *resolved* DeviceConfig (via the round-tripping
-        // DeviceSpec::from_config), not the raw spec fields: two specs
-        // whose overrides resolve to the same device land on the same
-        // prefix, and preset-equivalent overrides collapse to the preset.
-        let resolved = DeviceSpec::from_config(&self.device.config_at(sigma));
-        let mut device = Value::table();
-        device.set("model", Value::Str(device_model.into()));
-        device.set("tech", Value::Str(resolved.tech.key().into()));
-        device.set("sigma", Value::Float(sigma));
-        if let Some(m) = resolved.verify_margin {
-            device.set("verify_margin", Value::Float(m));
-        }
-        if let Some(p) = resolved.pulse_step {
-            device.set("pulse_step", Value::Float(p));
-        }
-        if let Some(i) = resolved.max_verify_iters {
-            device.set("max_verify_iters", Value::Int(i as i64));
-        }
-        if let Some(b) = resolved.device_bits {
-            device.set("device_bits", Value::Int(b as i64));
-        }
-        root.set("device", device);
         root
     }
 
@@ -1267,8 +1246,8 @@ impl ExperimentSpec {
     /// [`ExperimentSpec::prep_prefix`], as a fixed-width hex string —
     /// the prepared-model cache key, also echoed in job provenance so a
     /// cache hit is attributable.
-    pub fn prep_fingerprint(&self, device_model: &str, sigma: f64) -> String {
-        let json = self.prep_prefix(device_model, sigma).to_json();
+    pub fn prep_fingerprint(&self) -> String {
+        let json = self.prep_prefix().to_json();
         format!("{:016x}", fnv1a_64(json.as_bytes()))
     }
 
@@ -1620,16 +1599,16 @@ mod tests {
     #[test]
     fn tune_mode_moves_prep_fingerprint_only_when_set() {
         let base = ExperimentSpec::default();
-        let fp = base.prep_fingerprint("rram-gaussian", 0.1);
+        let fp = base.prep_fingerprint();
         // Timing-only knobs without a mode stay on the base fingerprint
         // path only when the whole section is default; an explicit mode
         // separates the cache entry for provenance attribution.
         let mut tuned = base.clone();
         tuned.apply_set("tune=on").unwrap();
-        assert_ne!(tuned.prep_fingerprint("rram-gaussian", 0.1), fp);
+        assert_ne!(tuned.prep_fingerprint(), fp);
         let mut off = base.clone();
         off.apply_set("tune=off").unwrap();
-        assert_ne!(off.prep_fingerprint("rram-gaussian", 0.1), fp, "explicit off is a pin");
+        assert_ne!(off.prep_fingerprint(), fp, "explicit off is a pin");
     }
 
     #[test]
@@ -1684,7 +1663,7 @@ mod tests {
     #[test]
     fn prep_fingerprint_ignores_the_sweep_suffix() {
         let base = ExperimentSpec::default();
-        let fp = base.prep_fingerprint("rram-gaussian", 0.1);
+        let fp = base.prep_fingerprint();
         assert_eq!(fp.len(), 16, "fixed-width hex");
 
         // Changing only post-preparation fields keeps the fingerprint.
@@ -1693,35 +1672,37 @@ mod tests {
         suffix.apply_set("fractions=0.0,0.5").unwrap();
         suffix.apply_set("methods=magnitude").unwrap();
         suffix.apply_set("name=renamed").unwrap();
-        assert_eq!(suffix.prep_fingerprint("rram-gaussian", 0.1), fp);
+        assert_eq!(suffix.prep_fingerprint(), fp);
 
         // Changing any preparation input moves it.
         let mut seed = base.clone();
         seed.apply_set("seed=2").unwrap();
-        assert_ne!(seed.prep_fingerprint("rram-gaussian", 0.1), fp);
+        assert_ne!(seed.prep_fingerprint(), fp);
         let mut train = base.clone();
         train.apply_set("epochs=3").unwrap();
-        assert_ne!(train.prep_fingerprint("rram-gaussian", 0.1), fp);
-        assert_ne!(base.prep_fingerprint("rram-gaussian", 0.2), fp, "sigma is in the prefix");
-        assert_ne!(base.prep_fingerprint("sram-vt", 0.1), fp, "device model is in the prefix");
+        assert_ne!(train.prep_fingerprint(), fp);
     }
 
     #[test]
-    fn prep_fingerprint_collapses_preset_equivalent_overrides() {
-        // Spelling the RRAM preset out as explicit overrides must land
-        // on the preset's own fingerprint: the resolved DeviceConfig is
-        // what is hashed, not the spec's surface syntax.
-        let preset = ExperimentSpec::default();
-        let cfg = preset.device.config_at(0.1);
-        let mut explicit = ExperimentSpec::default();
-        explicit.device.verify_margin = Some(cfg.verify_margin);
-        explicit.device.pulse_step = Some(cfg.pulse_step);
-        explicit.device.max_verify_iters = Some(cfg.max_verify_iters);
-        explicit.device.device_bits = Some(cfg.device_bits);
-        assert_eq!(
-            explicit.prep_fingerprint("rram-gaussian", 0.1),
-            preset.prep_fingerprint("rram-gaussian", 0.1)
-        );
+    fn prep_fingerprint_ignores_the_device_section() {
+        // Training and quantization never read the device: every block
+        // of a grid, and every device override, shares one preparation
+        // that is rebound per block.
+        let base = ExperimentSpec::default();
+        let fp = base.prep_fingerprint();
+        for set in [
+            "sigmas=0.1,0.15,0.2",
+            "device.model=sram-vt",
+            "device.model=rram-gaussian,mram-stochastic",
+            "tech=pcm",
+            "device.verify_margin=0.05",
+            "device.pulse_step=0.5",
+            "device.max_verify_iters=3",
+        ] {
+            let mut spec = base.clone();
+            spec.apply_set(set).unwrap();
+            assert_eq!(spec.prep_fingerprint(), fp, "`{set}` moved the training fingerprint");
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   `/metrics` ([`server`]).
 //! * **In `swim-bench`:** the [`server::JobEngine`] implementation that
 //!   actually trains, sweeps, and assembles documents — including the
-//!   prepared-model cache keyed by
-//!   [`swim_exp::spec::ExperimentSpec::prep_fingerprint`].
+//!   prepared-model cache keyed by the training prefix
+//!   ([`swim_exp::spec::ExperimentSpec::prep_fingerprint`]), whose one
+//!   entry serves every `(device model, sigma)` block of a job.
 //!
 //! That split keeps the service logic free of the experiment crates
 //! (testable with a scripted engine) and lets the `swim` CLI own the

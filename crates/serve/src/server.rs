@@ -50,7 +50,8 @@ pub struct BlockOutcome {
     pub payload: BlockPayload,
     /// Whether preparation was served from the prepared-model cache.
     pub cache_hit: bool,
-    /// Seconds spent preparing (training/quantizing); ~0 on a hit.
+    /// Seconds spent preparing (training/quantizing); ~0 on a hit,
+    /// unless the hit waited for a concurrent block's training.
     pub prep_seconds: f64,
     /// Seconds spent on the selection/Monte-Carlo sweep.
     pub sweep_seconds: f64,
