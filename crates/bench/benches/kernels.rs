@@ -14,8 +14,8 @@
 //! measured medians as a JSON snapshot; `--baseline FILE` compares this
 //! run against a snapshot and exits 1 when any shared entry regressed
 //! by more than 30% (the committed `BENCH_sweep.json` is the CI
-//! baseline for the `sweep`, `gemm_transposed`, `simd`, and `autotune`
-//! groups).
+//! baseline for the `sweep`, `gemm_transposed`, `simd`, `autotune` and
+//! `conv` groups).
 //!
 //! Groups:
 //!
@@ -23,7 +23,8 @@
 //!   256×256×256 (plus layer-shaped cases), reporting speedups;
 //! * `gemm_transposed` — `matmul_at`/`matmul_bt` strided panel packing vs
 //!   the old materialized-transpose formulation;
-//! * `conv_lowering` — batched im2col+GEMM conv vs per-image lowering;
+//! * `conv` — LeNet's two convolution layers: forward at batch 100,
+//!   forward+backward at batch 32, second-backward at batch 256;
 //! * `second_derivative` — §3.3 claim: the single-pass Hessian diagonal
 //!   costs about one gradient pass, vs per-weight finite differences;
 //! * `write_verify` — device programming with exact pulse accounting;
@@ -149,8 +150,10 @@ impl Harness {
         root.set(
             "note",
             Value::Str(format!(
-                "built-in defaults measured single-threaded on host {}",
-                swim_tensor::tune::host_fingerprint()
+                "built-in defaults measured on host {}; nproc={}, gemm threads={}",
+                swim_tensor::tune::host_fingerprint(),
+                swim_tensor::tune::detected_parallelism(),
+                swim_tensor::linalg::gemm_threads()
             )),
         );
         root.set("median_ns", entries);
@@ -320,32 +323,30 @@ fn bench_gemm_transposed(h: &mut Harness) {
     }
 }
 
-/// Batched conv lowering (one im2col + one GEMM per batch) vs driving
-/// the same layer one image at a time.
-fn bench_conv_lowering(h: &mut Harness) {
-    h.group("conv_lowering (batched vs per-image)");
+/// LeNet's two convolutions, one layer at a time, at the batch sizes
+/// the pipeline runs them: forward at the eval batch (100),
+/// forward+backward at the training batch (32), and second-backward at
+/// the sensitivity batch (256).
+fn bench_conv(h: &mut Harness) {
+    h.group("conv (LeNet layers: forward b100, forward+backward b32, second-backward b256)");
     let mut rng = Prng::seed_from_u64(11);
-    let mut conv = Conv2d::new(8, 16, 3, 1, 1, &mut rng);
-    let x = Tensor::randn(&[32, 8, 14, 14], &mut rng);
-    let batched = h.bench("conv_lowering/fwd_32x8x14x14/batched", || conv.forward(&x, Mode::Eval));
-    let per_image = h.bench("conv_lowering/fwd_32x8x14x14/per_image", || {
-        let mut last = None;
-        for item in 0..32 {
-            last = Some(conv.forward(&x.slice_axis0(item, item + 1), Mode::Eval));
-        }
-        last
-    });
-    if let (Some(b), Some(p)) = (batched, per_image) {
-        println!(
-            "  {:<44} {:.2}x vs per-image",
-            "conv_lowering/fwd_32x8x14x14/speedup",
-            p.as_secs_f64() / b.as_secs_f64().max(1e-12)
-        );
+    // (name, in channels, out channels, kernel, padding, input side)
+    for (name, cin, cout, k, p, side) in
+        [("lenet_conv1", 1, 6, 5, 2, 28), ("lenet_conv2", 6, 16, 5, 0, 14)]
+    {
+        let mut conv = Conv2d::new(cin, cout, k, 1, p, &mut rng);
+        let x = Tensor::randn(&[100, cin, side, side], &mut rng);
+        h.bench(&format!("conv/{name}/fwd_b100"), || conv.forward(&x, Mode::Eval));
+        let x = Tensor::randn(&[32, cin, side, side], &mut rng);
+        let g = Tensor::ones(conv.forward(&x, Mode::Train).shape());
+        h.bench(&format!("conv/{name}/fwd_bwd_b32"), || {
+            conv.forward(&x, Mode::Train);
+            conv.backward(&g)
+        });
+        let x = Tensor::randn(&[256, cin, side, side], &mut rng);
+        let hs = Tensor::ones(conv.forward(&x, Mode::Eval).shape());
+        h.bench(&format!("conv/{name}/second_bwd_b256"), || conv.second_backward(&hs));
     }
-    let y = conv.forward(&x, Mode::Train);
-    let g = Tensor::ones(y.shape());
-    h.bench("conv_lowering/bwd_32x8x14x14/batched", || conv.backward(&g));
-    h.bench("conv_lowering/second_bwd_32x8x14x14/batched", || conv.second_backward(&g));
 }
 
 /// End-to-end Monte Carlo sweep throughput: per-worker scratch reuse
@@ -654,7 +655,7 @@ fn main() {
     );
     bench_gemm(&mut h);
     bench_gemm_transposed(&mut h);
-    bench_conv_lowering(&mut h);
+    bench_conv(&mut h);
     bench_second_derivative(&mut h);
     bench_write_verify(&mut h);
     bench_selection(&mut h);

@@ -469,11 +469,11 @@ pub(crate) fn check_tuning_pinned(spec: &ExperimentSpec) -> Result<(), String> {
 /// bound to the grid's first block and [`sweep_block`] rebinds a copy
 /// to whichever block it sweeps.
 ///
-/// The result is a clone: cloning drops the layers' lowering scratch
-/// that training and the sensitivity pass grew (conv im2col/GEMM
-/// buffers of up to ~16 MiB each), which would otherwise stay resident
-/// for as long as the preparation is shared — every block of a run, and
-/// the lifetime of a serve cache entry.
+/// The preparation is kept as trained, without a defensive clone: no
+/// layer owns lowering scratch (convolutions pack their GEMM panels into
+/// per-thread buffers), so nothing that training and the sensitivity
+/// pass grew stays resident for as long as the preparation is shared —
+/// every block of a run, and the lifetime of a serve cache entry.
 pub(crate) fn prepare_shared(spec: &ExperimentSpec) -> Prepared {
     let sigma = spec.device.sigmas[0];
     let model = device_model(&spec.device.models[0]);
@@ -481,7 +481,7 @@ pub(crate) fn prepare_shared(spec: &ExperimentSpec) -> Prepared {
     let mut prepared =
         prepare_with_model(scenario, spec.device.config_at(sigma), &PrepConfig::from(spec), model);
     prepared.sensitivities(spec.montecarlo.eval_batch);
-    prepared.clone()
+    prepared
 }
 
 /// Sweeps every configured method over one `(device model, sigma)`

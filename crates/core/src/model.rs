@@ -318,8 +318,8 @@ impl QuantizedModel {
 /// for every thread count. With the [`ActivationArena`] added to the
 /// scratch, a steady-state run performs **zero heap allocations**: the
 /// network clone, mask/code/weight buffers, the selector's ranking
-/// buffer, GEMM and im2col scratch, and every forward activation are all
-/// reused (enforced by `tests/alloc_free.rs`).
+/// buffer, the GEMM/conv packing scratch, and every forward activation
+/// are all reused (enforced by `tests/alloc_free.rs`).
 #[derive(Debug, Clone)]
 pub struct EvalScratch {
     /// The worker's network instance (device weights rewritten per run).

@@ -79,6 +79,20 @@ pub trait Layer: Send + Sync {
     /// Implementations may panic if called before `forward`.
     fn second_backward(&mut self, hess_output: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a caller that discards the input gradient
+    /// (the first layer of a network): accumulates the same parameter
+    /// gradients, bit for bit, and may skip the input-gradient work. The
+    /// default runs `backward` and drops its result.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let _ = self.backward(grad_output);
+    }
+
+    /// The [`Layer::second_backward`] counterpart of
+    /// [`Layer::backward_params`].
+    fn second_backward_params(&mut self, hess_output: &Tensor) {
+        let _ = self.second_backward(hess_output);
+    }
+
     /// Visits every trainable parameter of this layer (and sub-layers).
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param));
 

@@ -1,62 +1,36 @@
-//! 2-D convolution layer, lowered to GEMM via im2col.
+//! 2-D convolution layer, lowered to GEMM through the im2col index math.
 
 use crate::arena::ActivationArena;
 use crate::layer::{Layer, Mode};
 use crate::param::{Param, ParamKind};
-use swim_tensor::conv::{col2im_accumulate, im2col_batch_into, ConvGeometry};
-use swim_tensor::linalg::{matmul_at_into, matmul_bt_into, matmul_into};
-use swim_tensor::{tune, Prng, Tensor};
+use swim_tensor::conv::{
+    conv_forward_into, conv_input_grad_accumulate, conv_weight_grad_into, ConvGeometry,
+};
+use swim_tensor::tune::{self, GemmKind};
+use swim_tensor::{Prng, Tensor};
 
-/// Default cap, in `f32` elements, on the batched im2col scratch of one
-/// layer (re-exported from the tuning layer; override per run via
-/// [`tune::KernelTuning::im2col_cap_elems`]).
-///
-/// A whole batch is lowered through a single `[N·outH·outW, C·k²]` patch
-/// matrix when it fits; larger batches are processed in item chunks so
-/// the scratch stays within ~16 MiB however wide the model is. The chunk
-/// split is invisible in the results: every pass is bit-identical for
-/// any chunk size (each item's rows are computed independently, and the
-/// parameter-gradient accumulation is per-item either way) — which is
-/// exactly why the chunk is safe to autotune per shape under
-/// `tune.mode = on`.
-pub const IM2COL_CAP_ELEMS: usize = tune::DEFAULT_IM2COL_CAP_ELEMS;
-
-/// Reusable lowering buffers owned by one `Conv2d` layer.
-///
-/// Cloning a layer (one network clone per Monte Carlo worker) must not
-/// duplicate scratch contents, so `Clone` yields empty buffers that grow
-/// back on first use.
-#[derive(Debug, Default)]
-struct ConvScratch {
-    /// Batched im2col patches `[chunk·spatial, CK²]`.
-    cols: Vec<f32>,
-    /// Large GEMM output: forward `[F, chunk·spatial]`, backward passes
-    /// `[chunk·spatial, CK²]` (the column-space gradient).
-    gemm: Vec<f32>,
-    /// Output-gradient chunk transposed to `[chunk·spatial, F]`.
-    delta: Vec<f32>,
-    /// One item's weight-gradient tile `[F, CK²]`.
-    wtile: Vec<f32>,
-}
-
-impl Clone for ConvScratch {
-    fn clone(&self) -> Self {
-        ConvScratch::default()
-    }
-}
+/// Bound, in `f32` elements (4 MiB), on the weight-gradient tiles a
+/// threaded backward pass holds at once: images are processed in groups
+/// whose tiles fit, and each group's tiles are folded in image order.
+const TILE_GROUP_ELEMS: usize = 1 << 20;
 
 /// 2-D convolution `[N, C, H, W] -> [N, F, H', W']`.
 ///
-/// The convolution is computed as `im2col(x) · Wᵀ`, which "casts it in
-/// the same form as FC layers" — exactly the reduction the paper's §3.3
-/// uses so that the FC second-order rules (Eq. 8/10) apply unchanged to
-/// convolutions. The lowering is *batched*: up to `IM2COL_CAP_ELEMS`
-/// (~16 MiB) worth of images are unrolled into one patch matrix so a whole batch
-/// becomes a single large GEMM (big enough for the threaded row-panel
-/// path to engage), with all intermediate buffers reused across calls
-/// from a per-layer scratch. The backward passes recompute the im2col
-/// matrix instead of caching it, trading a little compute for a large
-/// memory saving on wide models.
+/// The convolution is the GEMM `W · patchesᵀ`, which "casts it in the
+/// same form as FC layers" — exactly the reduction the paper's §3.3 uses
+/// so that the FC second-order rules (Eq. 8/10) apply unchanged to
+/// convolutions. The patch matrix is never built: each image's GEMM
+/// panels are packed straight from the NCHW input through the im2col
+/// index math ([`swim_tensor::conv`]), one image at a time, into
+/// per-thread buffers, so a layer owns no lowering scratch. Forward
+/// writes each image's `[F, H'·W']` output slice in place; the backward
+/// passes read each image's output-gradient slice as it is (no transpose)
+/// and re-pack the cached input's patches instead of keeping them.
+///
+/// When the GEMM plan of the batch-sized product asks for more than one
+/// worker, the images are split across scoped threads; outputs are
+/// disjoint and weight-gradient tiles are summed in image order, so
+/// every thread count gives the same bytes.
 ///
 /// # Example
 ///
@@ -81,7 +55,6 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     cached_input: Option<Tensor>,
-    scratch: ConvScratch,
 }
 
 impl Conv2d {
@@ -115,7 +88,6 @@ impl Conv2d {
             stride,
             padding,
             cached_input: None,
-            scratch: ConvScratch::default(),
         }
     }
 
@@ -131,86 +103,41 @@ impl Conv2d {
         }
     }
 
-    fn weight_matrix(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let cols = self.in_channels * self.kernel * self.kernel;
-        self.weight.value.map(f).reshaped(&[self.out_channels, cols])
-    }
-
     /// Immutable access to the weight parameter (tests, inspection).
     pub fn weight(&self) -> &Param {
         &self.weight
     }
 
-    /// Items per lowering chunk for a given output spatial size: as many
-    /// as fit the installed im2col scratch cap
-    /// ([`tune::im2col_cap_elems`], default [`IM2COL_CAP_ELEMS`]), at
-    /// least one.
-    ///
-    /// Sized by the *largest* per-item buffer — the `CK²`-wide patch
-    /// matrix or the `F`-wide GEMM/delta buffers — so a channel-expanding
-    /// layer (`F ≫ CK²`, e.g. a wide 1×1 conv) cannot blow past the cap
-    /// through the output-side scratch.
-    fn chunk_items(&self, spatial: usize, n: usize) -> usize {
-        let widest = (self.in_channels * self.kernel * self.kernel).max(self.out_channels);
-        let per_item = spatial * widest;
-        (tune::im2col_cap_elems() / per_item.max(1)).clamp(1, n.max(1))
-    }
-
-    /// Forward pass with an explicit chunk size (`chunk = 1` is the
-    /// per-image lowering; results are bit-identical for every value).
-    /// `out` is completely overwritten — the shared body of both the
-    /// fresh-allocation and the arena forward paths.
-    fn forward_impl(&mut self, input: &Tensor, chunk: usize, out: &mut Tensor) {
+    /// Validates the input and writes the convolution into `out`
+    /// (completely overwritten) — the shared body of the fresh-allocation
+    /// and the arena forward paths.
+    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
+        assert_eq!(input.rank(), 4, "Conv2d expects [N, C, H, W] input");
+        assert_eq!(
+            input.shape()[1],
+            self.in_channels,
+            "Conv2d expected {} input channels, got {}",
+            self.in_channels,
+            input.shape()[1]
+        );
         let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
         let geom = self.geometry(h, w);
         assert!(geom.is_valid(), "kernel does not fit input {geom:?}");
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let spatial = oh * ow;
-        let ck2 = geom.col_cols();
-        let nf = self.out_channels;
-        let image_len = self.in_channels * h * w;
-        out.reset_zeroed(&[n, nf, oh, ow]);
-
-        let mut i0 = 0;
-        while i0 < n {
-            let i1 = (i0 + chunk).min(n);
-            let items = i1 - i0;
-            let rows = items * spatial;
-            im2col_batch_into(
-                &input.data()[i0 * image_len..i1 * image_len],
-                items,
-                &geom,
-                &mut self.scratch.cols,
-            );
-            // One GEMM for the whole chunk: W · colsᵀ = [F, items·spatial].
-            // (Equivalent to the per-item `cols · Wᵀ` with the same
-            // k-accumulation order, but the output comes back in
-            // [F, item, spatial] layout, so writing NCHW output is all
-            // contiguous row copies instead of a scalar transpose.)
-            // The [F, C, k, k] weight tensor is already the [F, CK²]
-            // matrix in row-major order, so no reshaped copy is needed.
-            self.scratch.gemm.resize(nf * rows, 0.0);
-            matmul_bt_into(
-                self.weight.value.data(),
-                &self.scratch.cols,
-                nf,
-                ck2,
-                rows,
-                &mut self.scratch.gemm,
-            );
-            let od = out.data_mut();
-            let bias = self.bias.value.data();
-            for (f, yrow) in self.scratch.gemm.chunks_exact(rows).enumerate() {
-                for it in 0..items {
-                    let dst = &mut od[((i0 + it) * nf + f) * spatial..][..spatial];
-                    let src = &yrow[it * spatial..(it + 1) * spatial];
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d = s + bias[f];
-                    }
+        let (spatial, nf) = (geom.col_rows(), self.out_channels);
+        out.reset_zeroed(&[n, nf, geom.out_h(), geom.out_w()]);
+        // The [F, C, k, k] weight tensor is already the [F, CK²] matrix.
+        let plan = tune::gemm_plan(GemmKind::BT, nf, geom.col_cols(), n * spatial, 0);
+        let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
+        let images = input.data().chunks_exact(self.in_channels * h * w);
+        let jobs = out.data_mut().chunks_exact_mut(nf * spatial).zip(images);
+        for_each_image(plan.workers.min(n), jobs, |(y, x)| {
+            conv_forward_into(weight, x, &geom, plan.block_cols, y);
+            for (row, &b) in y.chunks_exact_mut(spatial).zip(bias) {
+                for v in row {
+                    *v += b;
                 }
             }
-            i0 = i1;
-        }
+        });
         // Cache the activation for the backward passes, reusing the
         // previous cache's capacity even when the batch shape changes —
         // on the eval loop (including its shorter final batch) this is a
@@ -223,123 +150,67 @@ impl Conv2d {
         }
     }
 
-    /// Validates the input and runs [`Conv2d::forward_impl`] at the
-    /// cap-derived chunk size — or, under `tune.mode = on`, at the
-    /// shape-keyed autotuned chunk (the candidates only move work
-    /// between identical per-item computations, so every choice is
-    /// bit-identical; see [`tune::resolve_custom`]).
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(input.rank(), 4, "Conv2d expects [N, C, H, W] input");
-        assert_eq!(
-            input.shape()[1],
-            self.in_channels,
-            "Conv2d expected {} input channels, got {}",
-            self.in_channels,
-            input.shape()[1]
-        );
-        let geom = self.geometry(input.shape()[2], input.shape()[3]);
-        let n = input.shape()[0];
-        let spatial = geom.out_h() * geom.out_w();
-        let default_chunk = self.chunk_items(spatial, n);
-        let chunk = if tune::mode() == tune::TuneMode::On && n > 1 {
-            let widest = (self.in_channels * self.kernel * self.kernel).max(self.out_channels);
-            let mut candidates =
-                vec![default_chunk, 1, (default_chunk / 2).max(1), (default_chunk * 2).min(n), n];
-            candidates.retain(|&c| c >= 1 && c <= n);
-            candidates.sort_unstable();
-            candidates.dedup();
-            let mut bench_out = Tensor::zeros(&[0]);
-            tune::resolve_custom(
-                "im2col",
-                [spatial, widest, n, 0],
-                default_chunk,
-                &candidates,
-                |c| self.forward_impl(input, c, &mut bench_out),
-            )
-        } else {
-            default_chunk
-        };
-        self.forward_impl(input, chunk, out);
-    }
-
-    /// Shared chunked backward pass. `square` selects the second-order
-    /// variant: patches and weights are squared (Eq. 8/10) and the
-    /// results accumulate into `hess` instead of `grad`.
-    fn backward_impl(&mut self, grad_output: &Tensor, chunk: usize, square: bool) -> Tensor {
+    /// Shared backward body. `square` selects the second-order pass:
+    /// patches and weights are squared (Eq. 8/10) and the results
+    /// accumulate into `hess` instead of `grad`. With `input_grad` unset
+    /// the input gradient is skipped and `None` returned; the parameter
+    /// accumulators get the same bytes either way.
+    fn backward_impl(&mut self, delta: &Tensor, square: bool, input_grad: bool) -> Option<Tensor> {
         // Take (not clone) the cached activation; restored before
         // returning so backward can run again after this pass.
         let input = self.cached_input.take().expect("backward called before forward");
         let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
         let geom = self.geometry(h, w);
-        let spatial = geom.out_h() * geom.out_w();
-        let ck2 = geom.col_cols();
-        let nf = self.out_channels;
+        let (spatial, ck2, nf) = (geom.col_rows(), geom.col_cols(), self.out_channels);
         let image_len = self.in_channels * h * w;
-        let wmat = if square { self.weight_matrix(|v| v * v) } else { self.weight_matrix(|v| v) };
-        let mut grad_input = Tensor::zeros(input.shape());
-        let mut wgrad = vec![0.0f32; nf * ck2];
-        let mut bgrad = vec![0.0f32; nf];
-        let gd = grad_output.data();
+        let squared;
+        let weight = if square {
+            squared = self.weight.value.map(|v| v * v);
+            squared.data()
+        } else {
+            self.weight.value.data()
+        };
+        let gd = delta.data();
 
-        let mut i0 = 0;
-        while i0 < n {
-            let i1 = (i0 + chunk).min(n);
-            let items = i1 - i0;
-            let rows = items * spatial;
-            im2col_batch_into(
-                &input.data()[i0 * image_len..i1 * image_len],
-                items,
-                &geom,
-                &mut self.scratch.cols,
-            );
-            if square {
-                for v in &mut self.scratch.cols {
-                    *v = *v * *v;
+        let mut bgrad = vec![0.0f32; nf];
+        for image in gd.chunks_exact(nf * spatial) {
+            for (b, row) in bgrad.iter_mut().zip(image.chunks_exact(spatial)) {
+                let mut acc = *b;
+                for &v in row {
+                    acc += v;
+                }
+                *b = acc;
+            }
+        }
+
+        let plan = tune::gemm_plan(GemmKind::MM, n * spatial, nf, ck2, 0);
+        let workers = plan.workers.min(n).max(1);
+        let tile_len = nf * ck2;
+        let group = if workers > 1 { (TILE_GROUP_ELEMS / tile_len).max(workers) } else { 1 };
+        let mut tiles = vec![0.0f32; group.min(n) * tile_len];
+        let mut wgrad = vec![0.0f32; tile_len];
+        let mut grad_input = input_grad.then(|| Tensor::zeros(input.shape()));
+        for g0 in (0..n).step_by(group) {
+            let g1 = (g0 + group).min(n);
+            let mut image_grads = grad_input
+                .as_mut()
+                .map(|t| t.data_mut()[g0 * image_len..g1 * image_len].chunks_exact_mut(image_len));
+            let jobs = (g0..g1)
+                .zip(tiles.chunks_exact_mut(tile_len))
+                .map(|(i, tile)| (i, tile, image_grads.as_mut().and_then(Iterator::next)));
+            for_each_image(workers, jobs, |(i, tile, image_grad)| {
+                let x = &input.data()[i * image_len..][..image_len];
+                let g = &gd[i * nf * spatial..][..nf * spatial];
+                conv_weight_grad_into(g, x, &geom, square, plan.block_cols, tile);
+                if let Some(dx) = image_grad {
+                    conv_input_grad_accumulate(g, weight, &geom, plan.block_cols, dx);
+                }
+            });
+            for tile in tiles.chunks_exact(tile_len).take(g1 - g0) {
+                for (acc, &v) in wgrad.iter_mut().zip(tile) {
+                    *acc += v;
                 }
             }
-            // Transpose the chunk's output gradient [item, F, spatial]
-            // into δ = [item·spatial, F] with strided copies, folding the
-            // bias gradient along the way.
-            self.scratch.delta.resize(rows * nf, 0.0);
-            for it in 0..items {
-                for f in 0..nf {
-                    let src = &gd[((i0 + it) * nf + f) * spatial..][..spatial];
-                    let mut idx = it * spatial * nf + f;
-                    for &v in src {
-                        self.scratch.delta[idx] = v;
-                        idx += nf;
-                    }
-                    let mut acc = bgrad[f];
-                    for &v in src {
-                        acc += v;
-                    }
-                    bgrad[f] = acc;
-                }
-            }
-            // dW accumulates per item (δᵢᵀ · colsᵢ), preserving the
-            // per-image summation order bit for bit.
-            self.scratch.wtile.resize(nf * ck2, 0.0);
-            for it in 0..items {
-                let drows = &self.scratch.delta[it * spatial * nf..][..spatial * nf];
-                let crows = &self.scratch.cols[it * spatial * ck2..][..spatial * ck2];
-                matmul_at_into(drows, crows, nf, spatial, ck2, &mut self.scratch.wtile);
-                for (g, &v) in wgrad.iter_mut().zip(&self.scratch.wtile) {
-                    *g += v;
-                }
-            }
-            // dX: one GEMM for the whole chunk (δ · W, row-independent),
-            // then a per-item col2im scatter straight into grad_input.
-            self.scratch.gemm.resize(rows * ck2, 0.0);
-            matmul_into(&self.scratch.delta, wmat.data(), rows, nf, ck2, &mut self.scratch.gemm);
-            let gi = grad_input.data_mut();
-            for it in 0..items {
-                col2im_accumulate(
-                    &self.scratch.gemm[it * spatial * ck2..][..spatial * ck2],
-                    &geom,
-                    &mut gi[(i0 + it) * image_len..][..image_len],
-                );
-            }
-            i0 = i1;
         }
 
         let target = if square { &mut self.weight.hess } else { &mut self.weight.grad };
@@ -353,6 +224,27 @@ impl Conv2d {
         self.cached_input = Some(input);
         grad_input
     }
+}
+
+/// Runs `job` on every item: inline when `workers` is 1, otherwise on
+/// `workers` scoped threads, each taking a contiguous run of items. Jobs
+/// write disjoint outputs, so the split never changes a byte.
+fn for_each_image<I: Send>(workers: usize, items: impl Iterator<Item = I>, job: impl Fn(I) + Sync) {
+    if workers <= 1 {
+        items.for_each(job);
+        return;
+    }
+    let items: Vec<I> = items.collect();
+    let per_worker = items.len().div_ceil(workers);
+    let mut items = items.into_iter();
+    std::thread::scope(|scope| loop {
+        let run: Vec<I> = items.by_ref().take(per_worker).collect();
+        if run.is_empty() {
+            break;
+        }
+        let job = &job;
+        scope.spawn(move || run.into_iter().for_each(job));
+    });
 }
 
 impl Layer for Conv2d {
@@ -369,17 +261,19 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward called before forward");
-        let geom = self.geometry(input.shape()[2], input.shape()[3]);
-        let chunk = self.chunk_items(geom.out_h() * geom.out_w(), input.shape()[0]);
-        self.backward_impl(grad_output, chunk, false)
+        self.backward_impl(grad_output, false, true).expect("input gradient requested")
     }
 
     fn second_backward(&mut self, hess_output: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward called before forward");
-        let geom = self.geometry(input.shape()[2], input.shape()[3]);
-        let chunk = self.chunk_items(geom.out_h() * geom.out_w(), input.shape()[0]);
-        self.backward_impl(hess_output, chunk, true)
+        self.backward_impl(hess_output, true, true).expect("input gradient requested")
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward_impl(grad_output, false, false);
+    }
+
+    fn second_backward_params(&mut self, hess_output: &Tensor) {
+        self.backward_impl(hess_output, true, false);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
@@ -492,15 +386,17 @@ mod tests {
         assert_eq!(conv.num_params(), 16 * 27 + 16);
     }
 
-    /// Replicates the pre-batching per-image implementation (one im2col
-    /// and one GEMM per item, scalar scatter loops) as an independent
-    /// semantic reference. Returns `(y, dx, dw, db)` for a sum-style
-    /// upstream gradient `g`.
+    /// Replicates the pre-batching per-image implementation (one
+    /// materialized im2col and one GEMM per item, scalar scatter loops)
+    /// as an independent semantic reference. Returns `(y, dx, dw, db)`
+    /// for an upstream gradient `g`; `square` gives the second-order
+    /// pass (patches and weights squared).
     #[allow(clippy::needless_range_loop)]
     fn per_image_reference(
         conv: &Conv2d,
         x: &Tensor,
         g: &Tensor,
+        square: bool,
     ) -> (Tensor, Tensor, Tensor, Vec<f32>) {
         use swim_tensor::conv::{col2im, im2col};
         use swim_tensor::linalg::{matmul, matmul_at, matmul_bt};
@@ -509,7 +405,8 @@ mod tests {
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let spatial = oh * ow;
         let (nf, ck2) = (conv.out_channels, geom.col_cols());
-        let wmat = conv.weight_matrix(|v| v);
+        let wmat = conv.weight.value.clone().reshaped(&[nf, ck2]);
+        let wsq = if square { wmat.map(|v| v * v) } else { wmat.clone() };
         let mut y = Tensor::zeros(&[n, nf, oh, ow]);
         let mut dx = Tensor::zeros(x.shape());
         let mut dw = Tensor::zeros(&[nf, ck2]);
@@ -534,8 +431,9 @@ mod tests {
                     db[f] += v;
                 }
             }
-            dw.add_assign_t(&matmul_at(&delta, &cols));
-            let dimg = col2im(&matmul(&delta, &wmat), &geom);
+            let pcols = if square { cols.map(|v| v * v) } else { cols };
+            dw.add_assign_t(&matmul_at(&delta, &pcols));
+            let dimg = col2im(&matmul(&delta, &wsq), &geom);
             let ibase = item * conv.in_channels * h * w;
             let gi = dx.data_mut();
             for (dst, &src) in
@@ -547,57 +445,74 @@ mod tests {
         (y, dx, dw, db)
     }
 
-    /// The batched lowering must be bit-identical to the per-image path
-    /// (chunk size 1) *and* to the pre-batching reference algorithm,
-    /// across stride/padding edge cases — forward and backward.
+    fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Forward, backward and second-backward of the fused lowering must
+    /// be bit-identical to the materialized per-image reference, across
+    /// stride/padding edge cases, the paper's layer shapes (LeNet at
+    /// batch 1 and 100, ConvNet/ResNet 3×3 and 1×1 shortcuts), spatial
+    /// sizes that are not a multiple of the GEMM panel width, and a
+    /// forced multi-worker split.
     #[test]
     fn batched_lowering_bit_identical_to_per_image() {
+        use swim_tensor::tune::{with_tuning, KernelTuning};
         let mut rng = Prng::seed_from_u64(31);
-        // (cin, cout, kernel, stride, padding, h, w)
-        for &(cin, cout, k, s, p, h, w) in &[
-            (1usize, 2usize, 3usize, 1usize, 0usize, 5usize, 5usize),
-            (3, 4, 3, 2, 1, 7, 6),
-            (2, 3, 3, 1, 2, 4, 4), // padding wider than half the kernel
-            (1, 2, 5, 1, 2, 2, 3), // kernel larger than the image
-            (2, 2, 1, 3, 0, 7, 7), // 1x1 kernel, large stride
+        // (cin, cout, kernel, stride, padding, h, w, batch)
+        for &(cin, cout, k, s, p, h, w, n) in &[
+            (1usize, 2usize, 3usize, 1usize, 0usize, 5usize, 5usize, 3usize),
+            (3, 4, 3, 2, 1, 7, 6, 3),
+            (2, 3, 3, 1, 2, 4, 4, 3),   // padding wider than half the kernel
+            (1, 2, 5, 1, 2, 2, 3, 3),   // kernel larger than the image
+            (2, 2, 1, 3, 0, 7, 7, 3),   // 1x1 kernel, large stride
+            (1, 6, 5, 1, 2, 28, 28, 1), // LeNet conv1
+            (1, 6, 5, 1, 2, 28, 28, 100),
+            (6, 16, 5, 1, 0, 14, 14, 1), // LeNet conv2
+            (6, 16, 5, 1, 0, 14, 14, 100),
+            (8, 8, 3, 1, 1, 9, 9, 4),  // 3x3 s1 p1, 81 pixels
+            (8, 16, 3, 2, 1, 9, 9, 4), // 3x3 s2 p1
+            (8, 16, 1, 2, 0, 9, 9, 4), // 1x1 s2 shortcut
         ] {
+            let what = format!("cin={cin} cout={cout} k={k} s={s} p={p} {h}x{w} n={n}");
             let mut conv = Conv2d::new(cin, cout, k, s, p, &mut rng);
-            let x = Tensor::randn(&[3, cin, h, w], &mut rng);
+            let x = Tensor::randn(&[n, cin, h, w], &mut rng);
             let y = conv.forward(&x, Mode::Train);
             let g = Tensor::randn(y.shape(), &mut rng);
+            let mut threaded = conv.clone();
 
-            let mut per_image = conv.clone();
-            let mut y1 = Tensor::zeros(&[0]);
-            per_image.forward_impl(&x, 1, &mut y1);
-            assert_eq!(y.data(), y1.data(), "forward cin={cin} k={k} s={s} p={p}");
-
-            let (yr, dxr, dwr, dbr) = per_image_reference(&conv, &x, &g);
-            assert_eq!(y.data(), yr.data(), "reference forward k={k} s={s} p={p}");
-
+            let (yr, dxr, dwr, dbr) = per_image_reference(&conv, &x, &g, false);
+            assert_eq!(bits(y.data()), bits(yr.data()), "forward {what}");
             let dx = conv.backward(&g);
-            let dx1 = per_image.backward_impl(&g, 1, false);
-            assert_eq!(dx.data(), dx1.data(), "dx chunked k={k} s={s} p={p}");
-            assert_eq!(dx.data(), dxr.data(), "dx reference k={k} s={s} p={p}");
-            assert_eq!(
-                conv.weight.grad.data(),
-                per_image.weight.grad.data(),
-                "dw chunked k={k} s={s} p={p}"
-            );
-            assert_eq!(conv.weight.grad.data(), dwr.data(), "dw reference k={k} s={s} p={p}");
-            assert_eq!(conv.bias.grad.data(), per_image.bias.grad.data());
-            assert_eq!(conv.bias.grad.data(), &dbr[..], "db reference k={k} s={s} p={p}");
+            assert_eq!(bits(dx.data()), bits(dxr.data()), "dx {what}");
+            assert_eq!(bits(conv.weight.grad.data()), bits(dwr.data()), "dw {what}");
+            assert_eq!(bits(conv.bias.grad.data()), bits(&dbr), "db {what}");
 
-            // Second-order pass: chunked vs per-image.
+            let (_, hxr, hwr, hbr) = per_image_reference(&conv, &x, &g, true);
             let hx = conv.second_backward(&g);
-            let hx1 = per_image.backward_impl(&g, 1, true);
-            assert_eq!(hx.data(), hx1.data(), "hx k={k} s={s} p={p}");
-            assert_eq!(conv.weight.hess.data(), per_image.weight.hess.data());
-            assert_eq!(conv.bias.hess.data(), per_image.bias.hess.data());
+            assert_eq!(bits(hx.data()), bits(hxr.data()), "hx {what}");
+            assert_eq!(bits(conv.weight.hess.data()), bits(hwr.data()), "hw {what}");
+            assert_eq!(bits(conv.bias.hess.data()), bits(&hbr), "hb {what}");
+
+            // Every product threaded across images: same bytes.
+            let many = KernelTuning { gemm_threads: 3, gemm_min_flops: 1, ..Default::default() };
+            with_tuning(&many, || {
+                let yt = threaded.forward(&x, Mode::Train);
+                assert_eq!(bits(yt.data()), bits(y.data()), "threaded forward {what}");
+                let dxt = threaded.backward(&g);
+                assert_eq!(bits(dxt.data()), bits(dx.data()), "threaded dx {what}");
+                let hxt = threaded.second_backward(&g);
+                assert_eq!(bits(hxt.data()), bits(hx.data()), "threaded hx {what}");
+            });
+            assert_eq!(bits(threaded.weight.grad.data()), bits(conv.weight.grad.data()));
+            assert_eq!(bits(threaded.weight.hess.data()), bits(conv.weight.hess.data()));
+            assert_eq!(bits(threaded.bias.grad.data()), bits(conv.bias.grad.data()));
         }
     }
 
-    /// Scratch buffers must not leak state across differently-shaped
-    /// calls (shrinking batch, then growing again).
+    /// Differently-shaped calls must not leak state (shrinking batch,
+    /// then growing again), and a layer holds no lowering buffer: after
+    /// forward and backward it is its parameters plus the cached input.
     #[test]
     fn scratch_reuse_across_shapes_is_clean() {
         let mut rng = Prng::seed_from_u64(32);
@@ -610,8 +525,43 @@ mod tests {
         };
         let via_cold = conv.clone_layer().forward(&small, Mode::Eval);
         assert_eq!(via_warm.data(), via_cold.data());
-        // And cloning a used layer must not drag its scratch along.
-        assert!(conv.scratch.cols.capacity() > 0);
-        assert_eq!(conv.clone().scratch.cols.capacity(), 0);
+        conv.backward(&Tensor::ones(via_warm.shape()));
+        conv.second_backward(&Tensor::ones(via_warm.shape()));
+        // Exhaustive on purpose: a new field must be accounted for here.
+        let Conv2d {
+            weight,
+            bias,
+            cached_input,
+            in_channels: _,
+            out_channels: _,
+            kernel: _,
+            stride: _,
+            padding: _,
+        } = &conv;
+        let params =
+            [&weight.value, &weight.grad, &weight.hess, &bias.value, &bias.grad, &bias.hess];
+        let held = params.iter().map(|t| t.len()).sum::<usize>()
+            + cached_input.as_ref().map_or(0, Tensor::len);
+        assert_eq!(held, 3 * (3 * 2 * 9) + 3 * 3 + small.len());
+    }
+
+    /// The params-only passes accumulate the same bytes as the full
+    /// passes and skip nothing else.
+    #[test]
+    fn params_only_backward_matches_full_backward() {
+        let mut rng = Prng::seed_from_u64(33);
+        let mut full = Conv2d::new(3, 4, 3, 2, 1, &mut rng);
+        let x = Tensor::randn(&[5, 3, 9, 9], &mut rng);
+        let y = full.forward(&x, Mode::Train);
+        let g = Tensor::randn(y.shape(), &mut rng);
+        let mut skip = full.clone();
+        full.backward(&g);
+        full.second_backward(&g);
+        skip.backward_params(&g);
+        skip.second_backward_params(&g);
+        assert_eq!(bits(skip.weight.grad.data()), bits(full.weight.grad.data()));
+        assert_eq!(bits(skip.weight.hess.data()), bits(full.weight.hess.data()));
+        assert_eq!(bits(skip.bias.grad.data()), bits(full.bias.grad.data()));
+        assert_eq!(bits(skip.bias.hess.data()), bits(full.bias.hess.data()));
     }
 }

@@ -27,7 +27,7 @@ fn remember_shape(slot: &mut Option<Vec<usize>>, shape: &[usize]) {
 pub use activation::{Smooth, SmoothActivation};
 pub use actquant::ActQuant;
 pub use batchnorm::BatchNorm2d;
-pub use conv2d::{Conv2d, IM2COL_CAP_ELEMS};
+pub use conv2d::Conv2d;
 pub use flatten::Flatten;
 pub use linear::Linear;
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};

@@ -54,6 +54,23 @@ impl Sequential {
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
+
+    /// Runs `step` through every layer but the first in reverse, then
+    /// `last` on the first: the input gradient of the sequence is never
+    /// formed.
+    fn params_pass(
+        &mut self,
+        seed: &Tensor,
+        step: fn(&mut dyn Layer, &Tensor) -> Tensor,
+        last: fn(&mut dyn Layer, &Tensor),
+    ) {
+        let Some((first, rest)) = self.layers.split_first_mut() else { return };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(step(layer.as_mut(), g.as_ref().unwrap_or(seed)));
+        }
+        last(first.as_mut(), g.as_ref().unwrap_or(seed));
+    }
 }
 
 impl std::fmt::Debug for Sequential {
@@ -103,6 +120,18 @@ impl Layer for Sequential {
             h = layer.second_backward(&h);
         }
         h
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.params_pass(grad_output, |l, g| l.backward(g), |l, g| l.backward_params(g));
+    }
+
+    fn second_backward_params(&mut self, hess_output: &Tensor) {
+        self.params_pass(
+            hess_output,
+            |l, h| l.second_backward(h),
+            |l, h| l.second_backward_params(h),
+        );
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {

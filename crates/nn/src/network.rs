@@ -101,7 +101,7 @@ impl Network {
         let logits = self.forward(input, Mode::Train);
         let l = loss.forward(&logits, targets);
         let g = loss.backward(&logits, targets);
-        self.backward(&g);
+        self.root.backward_params(&g);
         l
     }
 
@@ -120,7 +120,7 @@ impl Network {
         let logits = self.forward(input, Mode::Eval);
         let l = loss.forward(&logits, targets);
         let h = loss.second_backward(&logits, targets);
-        self.second_backward(&h);
+        self.root.second_backward_params(&h);
         l
     }
 
@@ -141,9 +141,9 @@ impl Network {
         let logits = self.forward(input, Mode::Eval);
         let l = loss.forward(&logits, targets);
         let g = loss.backward(&logits, targets);
-        self.backward(&g);
+        self.root.backward_params(&g);
         let h = loss.second_backward(&logits, targets);
-        self.second_backward(&h);
+        self.root.second_backward_params(&h);
         l
     }
 
@@ -442,6 +442,37 @@ mod tests {
         assert_eq!(h.len(), net.device_weight_count());
         assert!(h.iter().all(|&v| v >= 0.0));
         assert!(h.iter().any(|&v| v > 0.0));
+    }
+
+    /// The accumulate_* passes skip the first layer's input gradient;
+    /// the parameter `grad`/`hess` bytes must match the full passes.
+    #[test]
+    fn first_layer_skip_keeps_parameter_bytes() {
+        let mut rng = Prng::seed_from_u64(8);
+        let mut skip = crate::models::LeNetConfig::default().build(9);
+        let x = Tensor::randn(&[6, 1, 28, 28], &mut rng);
+        let y: Vec<usize> = (0..6).map(|i| i % 10).collect();
+        let loss = SoftmaxCrossEntropy::new();
+        let mut full = skip.clone();
+        skip.accumulate_gradients(&loss, &x, &y);
+        skip.accumulate_hessian(&loss, &x, &y);
+        skip.accumulate_hessian_full(&loss, &x, &y);
+
+        let logits = full.forward(&x, Mode::Train);
+        full.backward(&loss.backward(&logits, &y));
+        let logits = full.forward(&x, Mode::Eval);
+        full.second_backward(&loss.second_backward(&logits, &y));
+        full.backward(&loss.backward(&logits, &y));
+        full.second_backward(&loss.second_backward(&logits, &y));
+
+        let bytes = |net: &mut Network| {
+            let mut out = Vec::new();
+            net.visit_params(&mut |p| {
+                out.extend(p.grad.data().iter().chain(p.hess.data()).map(|v| v.to_bits()));
+            });
+            out
+        };
+        assert_eq!(bytes(&mut skip), bytes(&mut full));
     }
 
     #[test]

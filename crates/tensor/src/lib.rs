@@ -10,7 +10,8 @@
 //!   (via [`conv`] im2col lowering) convolution layers.
 //! * [`conv`] — im2col/col2im lowering so convolutions can be "cast in the
 //!   same form as FC layers", exactly the property the paper's
-//!   second-derivative backpropagation relies on (§3.3).
+//!   second-derivative backpropagation relies on (§3.3); the layer-facing
+//!   products pack GEMM panels straight from NCHW images.
 //! * [`rng`] — a deterministic, splittable xoshiro256++ PRNG with Gaussian
 //!   sampling (Box–Muller). Device-variation experiments are Monte Carlo
 //!   simulations; bit-exact reproducibility across runs and platforms is a
@@ -24,7 +25,7 @@
 //!   and the workspace's elementwise hot paths dispatch through.
 //! * [`tune`] — the unified [`tune::KernelTuning`] configuration and the
 //!   shape-keyed autotuner behind every kernel performance knob (GEMM
-//!   threads/blocking/threading threshold, conv im2col chunk cap), with
+//!   threads/blocking/threading threshold), with
 //!   an optional host-fingerprinted on-disk winner cache. Timing-only by
 //!   contract: tuning never changes result bytes.
 //!

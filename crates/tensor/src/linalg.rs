@@ -1,8 +1,8 @@
 //! Matrix products.
 //!
-//! Fully connected layers, and convolutions lowered through
-//! [`crate::conv::im2col`], reduce to the three GEMM variants here. All
-//! three route through one blocked, register-tiled kernel ([`MR`]×[`NR`]
+//! Fully connected layers, and convolutions lowered through the im2col
+//! index math of [`crate::conv`], reduce to the GEMM here. All entry
+//! points route through one blocked, register-tiled kernel ([`MR`]×[`NR`]
 //! accumulator tiles over a packed right-hand operand), with a
 //! multithreaded row-panel path above [`PARALLEL_MIN_FLOPS`] (tunable via
 //! [`set_gemm_parallel_min_flops`]). The transposed variants
@@ -122,19 +122,19 @@ pub fn gemm_block_cols(k: usize, n: usize) -> usize {
 /// transposed copy: a row-major `k×m` matrix read as its `m×k` transpose
 /// is just `row_stride = 1, col_stride = m`.
 #[derive(Debug, Clone, Copy)]
-struct Strides {
+pub(crate) struct Strides {
     row: usize,
     col: usize,
 }
 
 impl Strides {
     /// Row-major (contiguous) layout for a matrix with `cols` columns.
-    fn contiguous(cols: usize) -> Strides {
+    pub(crate) fn contiguous(cols: usize) -> Strides {
         Strides { row: cols, col: 1 }
     }
 
     /// The transpose of a row-major matrix that had `cols` columns.
-    fn transposed(cols: usize) -> Strides {
+    pub(crate) fn transposed(cols: usize) -> Strides {
         Strides { row: 1, col: cols }
     }
 }
@@ -148,7 +148,7 @@ impl Strides {
 /// padded lanes are computed and discarded, never stored. The packed
 /// layout is identical for both source layouts, so downstream arithmetic
 /// cannot depend on which one the caller had.
-fn pack_panels(b: &[f32], strides: Strides, k: usize, n: usize, packed: &mut Vec<f32>) {
+pub(crate) fn pack_panels(b: &[f32], strides: Strides, k: usize, n: usize, packed: &mut Vec<f32>) {
     let panels = n.div_ceil(NR);
     packed.clear();
     packed.resize(panels * k * NR, 0.0);
@@ -686,7 +686,7 @@ fn gemm_strided_into(
 /// autotuner's timing loop uses — candidates are forced here directly,
 /// so tuning a shape can never recurse back into the tuner.
 #[allow(clippy::too_many_arguments)]
-fn gemm_with_plan(
+pub(crate) fn gemm_with_plan(
     a: &[f32],
     a_strides: Strides,
     b: &[f32],
@@ -763,6 +763,35 @@ pub(crate) fn gemm_forced(
         return;
     }
     gemm_with_plan(a, Strides::contiguous(k), b, Strides::contiguous(n), m, k, n, plan, out);
+}
+
+/// Serial `C = A·B` for a row-major `a` (`m×k`) whose right operand is
+/// never materialized: `pack` writes its NR-wide panels straight into
+/// the thread-local packed-B scratch, which arrives zeroed and sized
+/// `⌈n/NR⌉·k·NR` in the [`pack_panels`] layout.
+///
+/// The fused convolution lowering ([`crate::conv`]) packs image patches
+/// through here; a `pack` that writes what [`pack_panels`] would write
+/// gives the same bytes as packing the materialized matrix.
+pub(crate) fn gemm_packed_b(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    block_cols: usize,
+    pack: impl FnOnce(&mut [f32]),
+    out: &mut [f32],
+) {
+    assert_eq!(out.len(), m * n, "gemm output buffer must hold m·n elements");
+    assert!(m > 0 && k > 0 && n > 0, "gemm_packed_b needs a non-empty product");
+    assert_eq!(a.len(), m * k, "gemm_packed_b: left operand length");
+    PACKED_B.with(|cell| {
+        let mut packed = cell.borrow_mut();
+        packed.clear();
+        packed.resize(n.div_ceil(NR) * k * NR, 0.0);
+        pack(&mut packed);
+        gemm_rows(simd::backend(), a, k, &packed, k, n, block_cols.max(NR), 0, out);
+    });
 }
 
 /// `C = A·B` on raw row-major slices, written into `out`.

@@ -2,14 +2,13 @@
 //! configuration.
 //!
 //! Every hot-path constant the kernels used to hard-code — the GEMM
-//! worker-thread count, the packed-panel block width, the
-//! [`crate::linalg::PARALLEL_MIN_FLOPS`] threading threshold, and the
-//! conv im2col scratch cap — now resolves through this module. One
-//! [`KernelTuning`] value is resolved per run (the experiment engine
-//! composes spec `[tune]` > CLI flags > environment > built-in default)
-//! and installed process-wide with [`install`]; the kernels then consult
-//! it through the cheap atomic accessors ([`gemm_plan`],
-//! [`im2col_cap_elems`]).
+//! worker-thread count, the packed-panel block width and the
+//! [`crate::linalg::PARALLEL_MIN_FLOPS`] threading threshold — now
+//! resolves through this module. One [`KernelTuning`] value is resolved
+//! per run (the experiment engine composes spec `[tune]` > CLI flags >
+//! environment > built-in default) and installed process-wide with
+//! [`install`]; the kernels then consult it through the cheap atomic
+//! accessor [`gemm_plan`].
 //!
 //! # Autotune mode
 //!
@@ -25,8 +24,8 @@
 //! # Timing-only contract
 //!
 //! Tuning is **timing-only**: every candidate config changes *speed*,
-//! never *bytes*. Block width, worker count, threading threshold, and
-//! im2col chunking are all pinned byte-neutral by the determinism tests
+//! never *bytes*. Block width, worker count and threading threshold
+//! are all pinned byte-neutral by the determinism tests
 //! in [`crate::linalg`] (per-element increasing-`k` accumulation,
 //! thread-count independence), so an autotuned run's results document is
 //! byte-identical to a default-config run apart from wall time and the
@@ -47,10 +46,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
-
-/// Default im2col scratch cap in `f32` elements (~16 MiB), the value
-/// `swim_nn`'s conv lowering used as a hard constant before tuning.
-pub const DEFAULT_IM2COL_CAP_ELEMS: usize = 1 << 22;
 
 /// Timing repetitions per candidate; the median is compared, so one
 /// scheduler hiccup cannot crown the wrong config.
@@ -112,8 +107,10 @@ pub struct KernelTuning {
     /// Threading threshold in multiplies (`0` =
     /// [`PARALLEL_MIN_FLOPS`]).
     pub gemm_min_flops: usize,
-    /// im2col scratch cap in elements (`0` =
-    /// [`DEFAULT_IM2COL_CAP_ELEMS`]).
+    /// The former im2col scratch cap in elements. Accepted and recorded
+    /// in results provenance, but no longer consulted: convolutions pack
+    /// their GEMM panels straight from the image and hold no column
+    /// matrix to cap.
     pub im2col_cap_elems: usize,
     /// On-disk winner cache directory (`None` = in-process only).
     pub cache_dir: Option<PathBuf>,
@@ -345,16 +342,6 @@ fn clamp_block(cols: usize, n: usize) -> usize {
     cols.next_multiple_of(NR).min(n.next_multiple_of(NR).max(NR))
 }
 
-/// The im2col scratch cap in `f32` elements the conv lowering should
-/// honor.
-pub fn im2col_cap_elems() -> usize {
-    ensure_init();
-    match PIN_IM2COL.load(Ordering::Relaxed) {
-        0 => DEFAULT_IM2COL_CAP_ELEMS,
-        n => n,
-    }
-}
-
 // ------------------------------------------------------- keys + choices
 
 /// Which GEMM entry point a tuning key describes (the transposed
@@ -397,14 +384,6 @@ pub enum TuneKey {
         /// Resolved worker-thread budget.
         threads: usize,
     },
-    /// A caller-defined knob (e.g. the conv im2col chunk), keyed by a
-    /// static tag and up to four shape dimensions.
-    Custom {
-        /// Static tag naming the knob (e.g. `im2col`).
-        tag: &'static str,
-        /// Shape dimensions identifying the call site's workload.
-        dims: [usize; 4],
-    },
 }
 
 impl TuneKey {
@@ -414,9 +393,6 @@ impl TuneKey {
         match self {
             TuneKey::Gemm { kind, m, k, n, backend, threads } => {
                 format!("gemm-{}:{m}x{k}x{n}:{}:t{threads}", kind.name(), backend.name())
-            }
-            TuneKey::Custom { tag, dims } => {
-                format!("{tag}:{}x{}x{}x{}", dims[0], dims[1], dims[2], dims[3])
             }
         }
     }
@@ -441,14 +417,13 @@ impl ChoiceSource {
     }
 }
 
-/// A cached winning config: `value` is the block width for GEMM keys
-/// and the knob value for custom keys; `workers` is the chosen worker
-/// count (`0` for custom keys).
+/// A cached winning GEMM config: `value` is the block width and
+/// `workers` the chosen worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Choice {
-    /// Block width (GEMM) or knob value (custom).
+    /// Block width.
     pub value: usize,
-    /// Chosen worker count (GEMM only; `0` otherwise).
+    /// Chosen worker count.
     pub workers: usize,
     /// Provenance of the choice.
     pub source: ChoiceSource,
@@ -479,12 +454,7 @@ pub fn choice_records() -> Vec<ChoiceRecord> {
         .iter()
         .map(|(key, choice)| ChoiceRecord {
             key: key.render(),
-            config: match key {
-                TuneKey::Gemm { .. } => {
-                    format!("block={} workers={}", choice.value, choice.workers)
-                }
-                TuneKey::Custom { .. } => format!("value={}", choice.value),
-            },
+            config: format!("block={} workers={}", choice.value, choice.workers),
             source: choice.source.name().to_string(),
         })
         .collect();
@@ -619,47 +589,6 @@ fn median_time(reps: usize, mut f: impl FnMut()) -> Duration {
         .collect();
     times.sort_unstable();
     times[times.len() / 2]
-}
-
-/// Resolves a caller-defined knob (e.g. the conv im2col chunk) through
-/// the same cache + autotune machinery.
-///
-/// With tuning off, returns `default`. With tuning on, the key is
-/// looked up (in-process, then disk) and otherwise each candidate is
-/// timed with `bench` (median of [`TUNE_REPS`]); the winner is cached
-/// and persisted. `bench` must be byte-neutral: candidates may only
-/// change how fast the work runs, never what it computes.
-pub fn resolve_custom(
-    tag: &'static str,
-    dims: [usize; 4],
-    default: usize,
-    candidates: &[usize],
-    mut bench: impl FnMut(usize),
-) -> usize {
-    ensure_init();
-    if mode() == TuneMode::Off || candidates.is_empty() {
-        return default;
-    }
-    let key = TuneKey::Custom { tag, dims };
-    if let Some(choice) = winners().read().unwrap_or_else(|e| e.into_inner()).get(&key) {
-        return choice.value;
-    }
-    if let Some(choice) = disk_lookup(&key) {
-        adopt(key, choice);
-        return choice.value;
-    }
-    let mut best = default;
-    let mut best_time = Duration::MAX;
-    for &candidate in candidates {
-        let elapsed = median_time(TUNE_REPS, || bench(candidate));
-        if elapsed < best_time {
-            best_time = elapsed;
-            best = candidate;
-        }
-    }
-    adopt(key, Choice { value: best, workers: 0, source: ChoiceSource::Autotune });
-    persist(&key, best, 0);
-    best
 }
 
 // ---------------------------------------------------------- disk cache
@@ -858,14 +787,14 @@ mod tests {
             im2col_cap_elems: 99,
             cache_dir: None,
         };
+        let before = current();
         with_tuning(&t, || {
             assert_eq!(current(), t);
             assert_eq!(gemm_threads(), 3);
             assert_eq!(gemm_min_flops(), 1234);
-            assert_eq!(im2col_cap_elems(), 99);
         });
         // Restored afterwards.
-        assert_eq!(im2col_cap_elems(), current().im2col_cap_elems.max(DEFAULT_IM2COL_CAP_ELEMS));
+        assert_eq!(current(), before);
     }
 
     #[test]
@@ -906,30 +835,6 @@ mod tests {
             let _ = gemm_plan(GemmKind::MM, 4, 4, 4, 1);
             assert!(choice_records().is_empty(), "tiny shapes must not be tuned");
         });
-    }
-
-    #[test]
-    fn resolve_custom_respects_mode_and_caches() {
-        let _kernel_state = crate::kernel_state_lock();
-        clear_winners();
-        // Off: default wins, bench never runs.
-        let mut ran = false;
-        let v = resolve_custom("test-knob", [1, 2, 3, 4], 42, &[1, 2], |_| ran = true);
-        assert_eq!(v, 42);
-        assert!(!ran);
-        // On: candidates are timed once, then cached.
-        let t = KernelTuning { mode: TuneMode::On, ..Default::default() };
-        with_tuning(&t, || {
-            let mut calls = 0;
-            let v = resolve_custom("test-knob", [1, 2, 3, 4], 42, &[7, 8], |_| calls += 1);
-            assert!(v == 7 || v == 8);
-            assert_eq!(calls, 2 * TUNE_REPS);
-            let mut calls2 = 0;
-            let v2 = resolve_custom("test-knob", [1, 2, 3, 4], 42, &[7, 8], |_| calls2 += 1);
-            assert_eq!(v2, v);
-            assert_eq!(calls2, 0, "cache hit must not re-bench");
-        });
-        clear_winners();
     }
 
     #[test]
