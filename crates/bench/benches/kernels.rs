@@ -56,6 +56,7 @@ use swim_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu, Sequential};
 use swim_nn::loss::SoftmaxCrossEntropy;
 use swim_nn::Network;
 use swim_tensor::linalg::{matmul, matmul_at, matmul_bt, matmul_reference, matmul_with_threads};
+use swim_tensor::tune::{self, with_tuning, KernelTuning};
 use swim_tensor::{Prng, Tensor};
 
 /// One measured entry: median wall time over the sample runs.
@@ -487,11 +488,12 @@ fn bench_thread_threshold(h: &mut Harness) {
         // under test sit below the default threshold, and the flops gate
         // would otherwise silently route them down the serial path —
         // timing the very thing the knob under test disables.
-        swim_tensor::linalg::set_gemm_parallel_min_flops(1);
-        let two = h.bench(&format!("thread_threshold/{d}cubed_{flops}flops/2threads"), || {
-            matmul_with_threads(&a, &b, 2)
+        let eligible = KernelTuning { gemm_min_flops: 1, ..tune::current() };
+        let two = with_tuning(&eligible, || {
+            h.bench(&format!("thread_threshold/{d}cubed_{flops}flops/2threads"), || {
+                matmul_with_threads(&a, &b, 2)
+            })
         });
-        swim_tensor::linalg::set_gemm_parallel_min_flops(0);
         if let (Some(s), Some(t)) = (serial, two) {
             println!(
                 "  {:<44} 2-thread {:.2}x vs serial",
@@ -509,26 +511,31 @@ fn bench_thread_threshold(h: &mut Harness) {
 /// one-time candidate sweep runs outside the measured region, matching
 /// how a real run amortizes it across the whole sweep.
 fn bench_autotune(h: &mut Harness) {
-    use swim_tensor::tune::{self, KernelTuning, TuneMode};
+    use swim_tensor::tune::TuneMode;
     h.group("autotune (hand-tuned heuristic vs shape-keyed tuned plan)");
     let mut rng = Prng::seed_from_u64(17);
     let a = Tensor::randn(&[256, 256], &mut rng);
     let b = Tensor::randn(&[256, 256], &mut rng);
 
     let prior = tune::current();
-    tune::install(&KernelTuning { mode: TuneMode::Off, ..prior.clone() });
-    let hand = h.bench("autotune/gemm_256x256x256/hand_tuned", || matmul_with_threads(&a, &b, 1));
-    let reference = matmul_with_threads(&a, &b, 1);
+    let (hand, reference) =
+        with_tuning(&KernelTuning { mode: TuneMode::Off, ..prior.clone() }, || {
+            let hand =
+                h.bench("autotune/gemm_256x256x256/hand_tuned", || matmul_with_threads(&a, &b, 1));
+            (hand, matmul_with_threads(&a, &b, 1))
+        });
 
     tune::clear_winners();
-    tune::install(&KernelTuning { mode: TuneMode::On, ..prior.clone() });
-    black_box(matmul_with_threads(&a, &b, 1)); // pay the candidate sweep here
-    let tuned = h.bench("autotune/gemm_256x256x256/tuned", || matmul_with_threads(&a, &b, 1));
-    assert_eq!(
-        matmul_with_threads(&a, &b, 1).data(),
-        reference.data(),
-        "autotuned plan changed the result bytes"
-    );
+    let tuned = with_tuning(&KernelTuning { mode: TuneMode::On, ..prior }, || {
+        black_box(matmul_with_threads(&a, &b, 1)); // pay the candidate sweep here
+        let tuned = h.bench("autotune/gemm_256x256x256/tuned", || matmul_with_threads(&a, &b, 1));
+        assert_eq!(
+            matmul_with_threads(&a, &b, 1).data(),
+            reference.data(),
+            "autotuned plan changed the result bytes"
+        );
+        tuned
+    });
     for record in tune::choice_records() {
         println!(
             "  {:<44} {} ({})",
@@ -538,7 +545,6 @@ fn bench_autotune(h: &mut Harness) {
         );
     }
     tune::clear_winners();
-    tune::install(&prior);
 
     if let (Some(hand), Some(tuned)) = (hand, tuned) {
         println!(

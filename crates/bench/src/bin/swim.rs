@@ -117,8 +117,8 @@ fn usage() {
     println!("  --workers N       pool workers (default 0 = one per CPU core)");
     println!("  --queue-cap N     pending-job cap before 429 (default 16)");
     println!("  --tune MODE / --tune-cache DIR / --gemm-threads N");
-    println!("                    process-wide kernel tuning (specs pinning anything");
-    println!("                    else are rejected at submission)");
+    println!("                    process-default kernel tuning (each job's own [tune]");
+    println!("                    and [run] simd apply on top, for that job only)");
     println!();
     println!("tune flags:");
     println!("  --cache DIR       adopt DIR as the on-disk winner cache and persist");

@@ -180,8 +180,8 @@ pub fn print_common_help(binary: &str, extra: &[(&str, &str)]) {
 /// Resolves the kernel-tuning configuration from the environment and
 /// the command line — the env and CLI layers of the precedence chain
 /// (spec `[tune]` > CLI flags > environment > built-in default; the
-/// spec layer is overlaid by the experiment engine, which `install`s
-/// the result once per run).
+/// spec layer is overlaid by the experiment engine, which runs inside
+/// the result).
 ///
 /// The two parallelism levels compete for the same cores: when the
 /// Monte Carlo harness already fans `mc_threads` workers out, nested
@@ -225,9 +225,10 @@ pub fn tuning_from_flags(
     Ok(t)
 }
 
-/// Resolves and installs the env/CLI tuning layers, returning the
-/// resolved `(gemm_threads, gemm_block)` pair — the legacy entry point
-/// for callers with no spec layer (`swim serve`, the kernel benches).
+/// Resolves the env/CLI tuning layers and installs them as the process
+/// default, returning the resolved `(gemm_threads, gemm_block)` pair —
+/// the entry point of `swim serve`, whose jobs overlay their own
+/// `[tune]` sections per job.
 pub fn apply_gemm_flags(args: &Args, mc_threads: usize) -> Result<(usize, usize), String> {
     let t = tuning_from_flags(args, mc_threads)?;
     swim_tensor::tune::install(&t);
@@ -333,17 +334,14 @@ mod tests {
 
     #[test]
     fn gemm_flag_default_matches_advertised_value() {
-        // With no flag given, the installed threshold must equal the
+        use swim_tensor::tune::{gemm_min_flops, with_tuning};
+        // With no flag given, the resolved threshold must equal the
         // value the help text advertises.
-        apply_gemm_flags(&parse(&[]), 1).unwrap();
-        assert_eq!(
-            swim_tensor::linalg::gemm_parallel_min_flops(),
-            swim_tensor::linalg::PARALLEL_MIN_FLOPS
-        );
+        let t = tuning_from_flags(&parse(&[]), 1).unwrap();
+        assert_eq!(with_tuning(&t, gemm_min_flops), swim_tensor::linalg::PARALLEL_MIN_FLOPS);
         // And an explicit override sticks.
-        apply_gemm_flags(&parse(&["--gemm-min-flops", "1"]), 1).unwrap();
-        assert_eq!(swim_tensor::linalg::gemm_parallel_min_flops(), 1);
-        // Restore the default for other tests in this process.
-        apply_gemm_flags(&parse(&[]), 1).unwrap();
+        let t = tuning_from_flags(&parse(&["--gemm-min-flops", "1"]), 1).unwrap();
+        assert_eq!(t.gemm_min_flops, 1);
+        assert_eq!(with_tuning(&t, gemm_min_flops), 1);
     }
 }

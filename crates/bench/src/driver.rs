@@ -17,6 +17,7 @@ use swim_core::report::{fmt_mean_std, Table};
 use swim_core::select::{default_selectors, Selector};
 use swim_nn::loss::SoftmaxCrossEntropy;
 use swim_tensor::stats::Running;
+use swim_tensor::tune::{self, KernelTuning};
 use swim_tensor::Prng;
 
 /// Statistics of the in-situ baseline at one NWC checkpoint.
@@ -153,13 +154,28 @@ impl DriverConfig {
 /// loops desynchronize the shared noise stream, so the comparison is
 /// not truly paired (ROADMAP item 5). In-situ training runs its own
 /// Monte Carlo with per-run RNG forks.
+///
+/// The sweep runs under the calling thread's kernel configuration with
+/// `cfg.gemm_threads` and `cfg.gemm_block` scoped on top; the process
+/// default is left alone.
 pub fn run_methods(
     prepared: &mut Prepared,
     selectors: &[Box<dyn Selector>],
     cfg: &DriverConfig,
 ) -> MethodCurves {
-    swim_tensor::linalg::set_gemm_threads(cfg.gemm_threads);
-    swim_tensor::linalg::set_gemm_block_cols(cfg.gemm_block);
+    let tuning = KernelTuning {
+        gemm_threads: cfg.gemm_threads,
+        gemm_block_cols: cfg.gemm_block,
+        ..tune::current()
+    };
+    tune::with_tuning(&tuning, || sweep_methods(prepared, selectors, cfg))
+}
+
+fn sweep_methods(
+    prepared: &mut Prepared,
+    selectors: &[Box<dyn Selector>],
+    cfg: &DriverConfig,
+) -> MethodCurves {
     let loss = SoftmaxCrossEntropy::new();
     let sens = prepared.sensitivities(cfg.eval_batch);
     let mags = prepared.model.magnitudes();

@@ -45,20 +45,14 @@ pub struct RunOptions {
     /// Write the JSON results document here.
     pub out: Option<std::path::PathBuf>,
     /// The env/CLI kernel-tuning layers (from [`tuning_from_flags`]).
-    /// [`run_spec`] overlays the spec's `[tune]` section on top and
-    /// installs the result — timing-only, never affects result bytes.
+    /// [`run_spec`] overlays the spec's `[tune]` section on top and runs
+    /// inside the result — timing-only, never affects result bytes.
     pub tuning: tune::KernelTuning,
     /// Write a checkpoint journal here after every completed block.
     pub checkpoint: Option<std::path::PathBuf>,
     /// Resume from this checkpoint journal (and keep checkpointing to it
     /// unless `checkpoint` points elsewhere).
     pub resume: Option<std::path::PathBuf>,
-    /// Refuse a spec whose `run.simd` or `[tune]` pins differ from the
-    /// process's active configuration instead of switching to it — for
-    /// long-lived hosts that assume one configuration for the process
-    /// lifetime (the `swim serve` engine applies the same checks via
-    /// its `validate` hook).
-    pub pin_backend: bool,
 }
 
 /// Accumulates the typed results alongside the printed output.
@@ -320,27 +314,16 @@ fn resume_into(
 ///
 /// Prints the artifact's human-readable output, writes the JSON results
 /// document to `opts.out` when set (atomically — a crash never leaves a
-/// truncated document), and returns the typed document.
+/// truncated document), and returns the typed document. The whole run,
+/// document header included, executes under the spec's kernel
+/// configuration (`with_spec_config`); the process default is left
+/// alone.
 pub fn run_spec(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, String> {
     spec.validate().map_err(|e| e.to_string())?;
-    if let Some(requested) = &spec.run.simd {
-        if opts.pin_backend {
-            check_backend_pinned(spec)?;
-        } else {
-            let backend =
-                simd::Backend::parse(requested).expect("validated spec has a known SIMD backend");
-            simd::set_backend(backend).map_err(|e| format!("run.simd: {e}"))?;
-        }
-    }
-    // Kernel tuning: overlay the spec's `[tune]` section on the env/CLI
-    // layers and install once for the whole run (pinned hosts instead
-    // verify the spec agrees with what is already installed). Timing
-    // only — result bytes are identical under every configuration.
-    if opts.pin_backend {
-        check_tuning_pinned(spec)?;
-    } else {
-        tune::install(&tuning_with_spec(&opts.tuning, spec));
-    }
+    with_spec_config(spec, &opts.tuning, || run_validated(spec, opts))?
+}
+
+fn run_validated(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, String> {
     let grid_kind =
         matches!(spec.kind, ExperimentKind::Table1 | ExperimentKind::Fig2 | ExperimentKind::Sweep);
     if (opts.checkpoint.is_some() || opts.resume.is_some()) && !grid_kind {
@@ -373,26 +356,21 @@ pub fn run_spec(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, 
     Ok(doc)
 }
 
-/// Errors when a validated spec pins a `run.simd` backend other than the
-/// one this process already dispatches through.
-///
-/// Used where switching backends mid-process is off the table: `run_spec`
-/// with [`RunOptions::pin_backend`], and the `swim serve` engine, whose
-/// prepared-model cache and worker pool assume one backend for the
-/// process lifetime.
-pub(crate) fn check_backend_pinned(spec: &ExperimentSpec) -> Result<(), String> {
-    if let Some(requested) = &spec.run.simd {
-        let backend =
-            simd::Backend::parse(requested).expect("validated spec has a known SIMD backend");
-        if simd::backend() != backend {
-            return Err(format!(
-                "spec pins `run.simd = \"{requested}\"` but this process dispatches through \
-                 `{}`; restart it with SWIM_SIMD={requested} to honor the spec",
-                simd::backend().name()
-            ));
-        }
-    }
-    Ok(())
+/// Runs `f` on the calling thread under the kernel configuration a
+/// validated spec asks for: its `run.simd` backend (else the thread's
+/// current one) and its `[tune]` section overlaid on `base`. Fails
+/// without running `f` when the host cannot execute the backend.
+pub(crate) fn with_spec_config<R>(
+    spec: &ExperimentSpec,
+    base: &tune::KernelTuning,
+    f: impl FnOnce() -> R,
+) -> Result<R, String> {
+    let backend = match &spec.run.simd {
+        Some(name) => simd::Backend::parse(name).expect("validated spec has a known SIMD backend"),
+        None => simd::backend(),
+    };
+    simd::with_backend(backend, || tune::with_tuning(&tuning_with_spec(base, spec), f))
+        .map_err(|e| format!("run.simd: {e}"))
 }
 
 /// The spec's `[tune]` section overlaid on the env/CLI tuning layers —
@@ -416,47 +394,6 @@ pub(crate) fn tuning_with_spec(
         t.im2col_cap_elems = c;
     }
     t
-}
-
-/// Errors when a validated spec's `[tune]` section contradicts the
-/// tuning configuration this process already installed.
-///
-/// The pinned-host counterpart of [`tuning_with_spec`]: where switching
-/// configuration mid-process is off the table (`run_spec` with
-/// [`RunOptions::pin_backend`], the `swim serve` engine), a spec that
-/// *agrees* with the installed state passes and one that pins anything
-/// else is rejected rather than switched to. Tuning never changes
-/// result bytes, but the results document records the installed
-/// configuration, and a served document must not claim a `[tune]`
-/// section the process ignored.
-pub(crate) fn check_tuning_pinned(spec: &ExperimentSpec) -> Result<(), String> {
-    let active = tune::current();
-    if let Some(mode) = &spec.tune.mode {
-        let requested = tune::TuneMode::parse(mode).expect("validated spec has a known tune mode");
-        if requested != active.mode {
-            return Err(format!(
-                "spec pins `tune.mode = \"{mode}\"` but this process runs with tuning `{}`; \
-                 restart it with SWIM_TUNE={mode} (or `--tune {mode}`) to honor the spec",
-                active.mode.name()
-            ));
-        }
-    }
-    let pins = [
-        ("gemm_block", spec.tune.gemm_block, active.gemm_block_cols, "SWIM_TUNE_BLOCK"),
-        ("gemm_min_flops", spec.tune.gemm_min_flops, active.gemm_min_flops, "SWIM_TUNE_MIN_FLOPS"),
-        ("im2col_cap", spec.tune.im2col_cap, active.im2col_cap_elems, "SWIM_TUNE_IM2COL"),
-    ];
-    for (key, requested, installed, env) in pins {
-        if let Some(requested) = requested {
-            if requested != installed {
-                return Err(format!(
-                    "spec pins `tune.{key} = {requested}` but this process runs with {installed}; \
-                     restart it with {env}={requested} to honor the spec"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The preparation every block of a grid spec shares: data, training,
@@ -583,9 +520,9 @@ fn run_grid(
         }
     }
 
-    // `run_spec` already installed the fully resolved tuning (spec >
-    // flags > env); the driver config reads it back so every layer sees
-    // one policy.
+    // `run_spec` runs inside the fully resolved tuning (spec > flags >
+    // env); the driver config reads it back so every layer sees one
+    // policy.
     let t = tune::current();
     let cfg = DriverConfig::from_spec(spec, t.gemm_threads, t.gemm_block_cols);
     let mut shared = None;
@@ -1114,7 +1051,9 @@ pub fn apply_flag_overrides(spec: &mut ExperimentSpec, args: &Args) -> Result<()
 }
 
 /// Resolves output options and the env/CLI tuning layers for a spec
-/// (the spec's own `[tune]` section is overlaid later, by [`run_spec`]).
+/// (the spec's own `[tune]` section is overlaid later, by [`run_spec`]),
+/// and points the process-level winner cache at `--tune-cache DIR` when
+/// one is given.
 pub fn options_from_args(spec: &ExperimentSpec, args: &Args) -> Result<RunOptions, String> {
     // Single-run artifacts (no Monte Carlo fan-out during the heavy
     // phases) let the matrix kernels use every core.
@@ -1122,13 +1061,16 @@ pub fn options_from_args(spec: &ExperimentSpec, args: &Args) -> Result<RunOption
         ExperimentKind::Fig1 | ExperimentKind::Calibration => 1,
         _ => spec.threads(),
     };
+    let tuning = tuning_from_flags(args, mc_threads)?;
+    if args.get("tune-cache").is_some() {
+        tune::set_cache_dir(tuning.cache_dir.as_deref());
+    }
     Ok(RunOptions {
         csv: args.has("csv") || args.has("full"),
         out: args.get("out").map(std::path::PathBuf::from),
-        tuning: tuning_from_flags(args, mc_threads)?,
+        tuning,
         checkpoint: args.get("checkpoint").map(std::path::PathBuf::from),
         resume: args.get("resume").map(std::path::PathBuf::from),
-        pin_backend: false,
     })
 }
 

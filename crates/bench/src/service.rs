@@ -5,7 +5,7 @@
 //! service/engine seam:
 //!
 //! 1. **Block computation.** One `(device model, sigma)` block is
-//!    [`sweep_block`] over the spec's shared preparation — the same
+//!    `sweep_block` over the spec's shared preparation — the same
 //!    function `swim run` calls. Intra-block Monte Carlo runs serially
 //!    (`threads = 1`); all parallelism comes from the service scheduling
 //!    many blocks of many jobs onto the shared
@@ -27,7 +27,7 @@
 //!    misses surface in `/metrics` and in per-block job provenance.
 //! 3. **Document assembly.** Blocks complete in arbitrary order on the
 //!    pool; the final document replays them through a quiet
-//!    `Collector` in grid order with [`emit_block`] (as `swim merge`
+//!    `Collector` in grid order with `emit_block` (as `swim merge`
 //!    does), so the served document is byte-identical to `swim run`'s
 //!    for the same spec — modulo `wall_time_s`, the one legitimately
 //!    differing field.
@@ -45,12 +45,19 @@ use swim_serve::{serve_forever, Server, ServerConfig};
 use crate::cli::{apply_gemm_flags, Args};
 use crate::driver::DriverConfig;
 use crate::experiment::{
-    check_backend_pinned, check_tuning_pinned, emit_block, model_sigma_grid, prepare_shared,
-    results_document, sweep_block, Block, Collector,
+    emit_block, model_sigma_grid, prepare_shared, results_document, sweep_block, with_spec_config,
+    Block, Collector,
 };
 use crate::prep::Prepared;
+use swim_tensor::tune::{self, KernelTuning};
 
 /// The real engine: prepared-model cache + block compute + assembly.
+///
+/// Every job runs under its own kernel configuration: its `run.simd`
+/// backend and `[tune]` section over the engine's GEMM policy and the
+/// process default, entered per block and for assembly on whichever
+/// pool worker runs them. Jobs with different backends never share a
+/// preparation, because the backend is part of the prep fingerprint.
 pub struct ServiceEngine {
     /// Shared preparations keyed by training fingerprint; each cell is
     /// filled by exactly one block.
@@ -71,6 +78,17 @@ impl ServiceEngine {
             gemm_threads,
             gemm_block,
         }
+    }
+
+    /// Runs `f` under `spec`'s kernel configuration, layered over the
+    /// engine's GEMM policy and the process default.
+    fn in_job_config<R>(&self, spec: &ExperimentSpec, f: impl FnOnce() -> R) -> Result<R, String> {
+        let base = KernelTuning {
+            gemm_threads: self.gemm_threads,
+            gemm_block_cols: self.gemm_block,
+            ..tune::current()
+        };
+        with_spec_config(spec, &base, f)
     }
 }
 
@@ -93,13 +111,9 @@ impl JobEngine for ServiceEngine {
                     .into(),
             );
         }
-        // The prepared-model cache and worker pool assume one SIMD
-        // backend and one kernel-tuning configuration for the process
-        // lifetime, so a spec pinning a different one is rejected
-        // rather than switched to.
-        check_backend_pinned(spec)?;
-        check_tuning_pinned(spec)?;
-        Ok(())
+        // A backend this host cannot execute fails the submission, not
+        // the job's first block.
+        self.in_job_config(spec, || ())
     }
 
     fn grid(&self, spec: &ExperimentSpec) -> Vec<(String, f64)> {
@@ -112,33 +126,41 @@ impl JobEngine for ServiceEngine {
         device_model: &str,
         sigma: f64,
     ) -> Result<BlockOutcome, String> {
-        let prep_start = Instant::now();
-        // The map lock covers only the lookup; training happens in the
-        // key's own cell, so misses on unrelated keys train in parallel
-        // while blocks on the same key wait for its one training.
-        let cell = Arc::clone(
-            self.cache.lock().expect("prep cache lock").entry(spec.prep_fingerprint()).or_default(),
-        );
-        let mut cache_hit = true;
-        let shared = cell.get_or_init(|| {
-            cache_hit = false;
-            prepare_shared(spec)
-        });
-        let counter = if cache_hit { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-        let prep_seconds = prep_start.elapsed().as_secs_f64();
+        self.in_job_config(spec, || {
+            let prep_start = Instant::now();
+            // The map lock covers only the lookup; training happens in the
+            // key's own cell, so misses on unrelated keys train in parallel
+            // while blocks on the same key wait for its one training.
+            let cell = Arc::clone(
+                self.cache
+                    .lock()
+                    .expect("prep cache lock")
+                    .entry(spec.prep_fingerprint())
+                    .or_default(),
+            );
+            let mut cache_hit = true;
+            let shared = cell.get_or_init(|| {
+                cache_hit = false;
+                prepare_shared(spec)
+            });
+            let counter = if cache_hit { &self.hits } else { &self.misses };
+            counter.fetch_add(1, Ordering::Relaxed);
+            let prep_seconds = prep_start.elapsed().as_secs_f64();
 
-        let sweep_start = Instant::now();
-        let mut cfg = DriverConfig::from_spec(spec, self.gemm_threads, self.gemm_block);
-        // Serial Monte Carlo inside the block: concurrency comes from
-        // the shared pool running many blocks at once, and the harness
-        // is bit-identical across thread counts, so this changes
-        // nothing but scheduling.
-        cfg.threads = 1;
-        let block = sweep_block(spec, shared, device_model, sigma, &cfg);
-        let sweep_seconds = sweep_start.elapsed().as_secs_f64();
+            let sweep_start = Instant::now();
+            let tuning = tune::current();
+            let mut cfg =
+                DriverConfig::from_spec(spec, tuning.gemm_threads, tuning.gemm_block_cols);
+            // Serial Monte Carlo inside the block: concurrency comes from
+            // the shared pool running many blocks at once, and the harness
+            // is bit-identical across thread counts, so this changes
+            // nothing but scheduling.
+            cfg.threads = 1;
+            let block = sweep_block(spec, shared, device_model, sigma, &cfg);
+            let sweep_seconds = sweep_start.elapsed().as_secs_f64();
 
-        Ok(BlockOutcome { payload: Box::new(block), cache_hit, prep_seconds, sweep_seconds })
+            BlockOutcome { payload: Box::new(block), cache_hit, prep_seconds, sweep_seconds }
+        })
     }
 
     fn assemble(
@@ -164,7 +186,8 @@ impl JobEngine for ServiceEngine {
                 .map_err(|_| "block payload is not a Block".to_string())?;
             emit_block(spec, false, &mut collector, &block);
         }
-        Ok(results_document(spec, collector, wall_time_s).to_json())
+        // The header records the job's backend and tuning.
+        self.in_job_config(spec, || results_document(spec, collector, wall_time_s).to_json())
     }
 
     fn cache_counters(&self) -> (u64, u64) {
@@ -180,12 +203,11 @@ pub fn serve_main(args: &Args) -> Result<(), String> {
     if queue_cap == 0 {
         return Err("--queue-cap must be positive".into());
     }
-    // Kernel-tuning policy for the whole process (installed once —
-    // `validate` rejects specs that pin anything else): blocks compute
-    // serially (see ServiceEngine::run_block), so per-GEMM threading
-    // defaults to 1 — the pool already saturates the machine. The knobs
-    // are pure performance settings; results are bit-identical for
-    // every value.
+    // The process default kernel tuning, under each job's own `[tune]`
+    // section: blocks compute serially (see ServiceEngine::run_block),
+    // so per-GEMM threading defaults to 1 — the pool already saturates
+    // the machine. The knobs are pure performance settings; results are
+    // bit-identical for every value.
     let (gemm_threads, gemm_block) = apply_gemm_flags(args, 2)?;
 
     let engine = Arc::new(ServiceEngine::new(gemm_threads, gemm_block));

@@ -10,6 +10,7 @@ use swim_bench::experiment::{run_spec, RunOptions};
 use swim_bench::service::ServiceEngine;
 use swim_exp::spec::ExperimentSpec;
 use swim_report::diff::{diff_docs, DiffOptions};
+use swim_report::schema::ResultsDoc;
 use swim_serve::server::JobEngine;
 use swim_tensor::tune::{self, KernelTuning, TuneMode};
 
@@ -31,10 +32,12 @@ fn opts_with(mode: TuneMode) -> RunOptions {
     }
 }
 
-/// One sequential test: the sub-checks share (and mutate) the
-/// process-global tuning state, so they must not interleave.
+/// Tuning never changes result bytes, the spec's `[tune]` section beats
+/// the CLI layer, and the service runs a job under its own `[tune]`
+/// section. One test, because the tuner's winner map is process-level
+/// and every tuned document records all of it.
 #[test]
-fn autotuned_run_is_byte_identical_and_pinned_hosts_reject_contradictions() {
+fn autotuned_run_is_byte_identical_and_serve_honours_the_job_tuning() {
     // ---- the differential contract -------------------------------------
     let spec = tiny_spec();
     let default_doc = run_spec(&spec, &opts_with(TuneMode::Off)).unwrap();
@@ -66,7 +69,7 @@ fn autotuned_run_is_byte_identical_and_pinned_hosts_reject_contradictions() {
     assert!(diff_docs(&default_doc, &tuned_doc, &ignore).clean());
 
     // The document round-trips with its choices intact.
-    let back = swim_report::schema::ResultsDoc::parse_str(&tuned_doc.to_json()).unwrap();
+    let back = ResultsDoc::parse_str(&tuned_doc.to_json()).unwrap();
     assert_eq!(back, tuned_doc);
 
     // ---- spec [tune] overlay beats the CLI layer -----------------------
@@ -75,17 +78,22 @@ fn autotuned_run_is_byte_identical_and_pinned_hosts_reject_contradictions() {
     let doc = run_spec(&pinned_spec, &opts_with(TuneMode::On)).unwrap();
     assert_eq!(doc.tuning.mode, "off", "spec `[tune] mode` must beat the CLI layer");
 
-    // ---- pinned hosts (serve) reject contradicting [tune] sections -----
-    tune::install(&KernelTuning { gemm_threads: 1, ..Default::default() });
+    // ---- serve runs a job under its own [tune] section ------------------
     let engine = ServiceEngine::new(1, 0);
-    let mut tuned_spec = tiny_spec();
-    tuned_spec.apply_set("tune=on").unwrap();
-    let e = engine.validate(&tuned_spec).unwrap_err();
-    assert!(e.contains("tune.mode"), "{e}");
-    let mut block_spec = tiny_spec();
-    block_spec.apply_set("tune.gemm_block=96").unwrap();
-    let e = engine.validate(&block_spec).unwrap_err();
-    assert!(e.contains("tune.gemm_block"), "{e}");
-    // A spec that agrees with the installed state passes.
-    assert!(engine.validate(&tiny_spec()).is_ok());
+    let mut job_spec = tiny_spec();
+    job_spec.apply_set("tune=on").unwrap();
+    job_spec.apply_set("tune.gemm_block=96").unwrap();
+    engine.validate(&job_spec).expect("a job's own [tune] section is accepted");
+    let payloads = engine
+        .grid(&job_spec)
+        .iter()
+        .map(|(model, sigma)| engine.run_block(&job_spec, model, *sigma).unwrap().payload)
+        .collect();
+    let served = ResultsDoc::parse_str(&engine.assemble(&job_spec, payloads, 0.0).unwrap())
+        .expect("served document parses");
+    assert_eq!(served.tuning.mode, "on");
+    assert_eq!(served.tuning.gemm_block_cols, 96);
+    let mut direct = run_spec(&job_spec, &opts_with(TuneMode::Off)).unwrap();
+    direct.wall_time_s = 0.0;
+    assert_eq!(served.to_json(), direct.to_json(), "served ≠ run_spec for a [tune] job");
 }

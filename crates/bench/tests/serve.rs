@@ -247,3 +247,51 @@ fn two_sigma_job_trains_once_whatever_the_timing() {
         assert_eq!(normalized(&served_doc), reference, "attempt {attempt}: served ≠ `swim run`");
     }
 }
+
+/// A job's `run.simd` pin holds for that job only: served beside an
+/// unpinned job with the same training prefix, the scalar-pinned job
+/// trains its own model (the backend is part of the prep fingerprint)
+/// and its document equals `swim run` under a forced scalar backend.
+#[test]
+fn scalar_pinned_job_served_beside_an_unpinned_one() {
+    use swim_tensor::simd::{self, with_backend, Backend};
+    let pinned_text = SPEC.replace("[montecarlo]", "[run]\nsimd = \"scalar\"\n\n[montecarlo]");
+    let pinned = ExperimentSpec::parse_str(&pinned_text).expect("pinned spec parses");
+    assert_eq!(pinned.run.simd.as_deref(), Some("scalar"));
+    let args = Args::try_parse_from(std::iter::empty::<String>()).expect("empty args");
+    let opts = options_from_args(&pinned, &args).expect("run options");
+    let reference =
+        with_backend(Backend::Scalar, || run_spec(&pinned, &opts)).unwrap().expect("reference run");
+
+    let engine =
+        Arc::new(ServiceEngine::new(opts.tuning.gemm_threads, opts.tuning.gemm_block_cols));
+    let server = Server::new(engine, ServerConfig { workers: 2, ..ServerConfig::default() });
+    let ids: Vec<String> = [SPEC, pinned_text.as_str()]
+        .iter()
+        .map(|text| {
+            let created = server.handle(&request("POST", "/jobs", text.as_bytes()));
+            assert_eq!(created.status, 201, "{}", String::from_utf8_lossy(&created.body));
+            field(&body_json(&created), "id").as_str().expect("job id").to_string()
+        })
+        .collect();
+    for id in &ids {
+        let status = wait_terminal(&server, id);
+        assert_eq!(field(&status, "state").as_str(), Some("done"), "{}", status.to_json());
+    }
+
+    // One training per backend: two where the default is a vector
+    // backend, one where it already is scalar.
+    let misses = if simd::backend() == Backend::Scalar { 1 } else { 2 };
+    let metrics = server.handle(&request("GET", "/metrics", b""));
+    let text = String::from_utf8(metrics.body).expect("utf-8 metrics");
+    assert!(text.contains(&format!("swim_prep_cache_misses_total {misses}")), "{text}");
+
+    let served = server.handle(&request("GET", &format!("/jobs/{}/result", ids[1]), b""));
+    assert_eq!(served.status, 200);
+    let served_doc = String::from_utf8(served.body).expect("utf-8 document");
+    assert_eq!(
+        normalized(&served_doc),
+        normalized(&reference.to_json()),
+        "scalar-pinned served document differs from `swim run` under a scalar backend"
+    );
+}

@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 use swim_data::Dataset;
 use swim_tensor::stats::Running;
+use swim_tensor::tune::KernelConfig;
 use swim_tensor::Prng;
 
 /// Runs `f(run_index, rng)` for `runs` independent runs across
@@ -250,36 +251,42 @@ where
     drop(tx);
     let queue = Mutex::new(rx);
 
+    // Workers compute under the caller's kernel configuration (SIMD
+    // backend, GEMM knobs), not the process default.
+    let config = KernelConfig::current();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let next = queue.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).recv();
-                    let Ok((start_row, slice)) = next else { break };
-                    for (offset, row) in slice.chunks_mut(row_len).enumerate() {
-                        let r = run_offset + start_row + offset;
-                        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            f(&mut state, r, base.fork(r as u64), row)
-                        })) {
-                            Ok(()) => {}
-                            Err(payload) => {
-                                let message = panic_detail(payload.as_ref());
-                                collected
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                    .push(RunFault { run: r, message });
-                                if policy == PanicPolicy::FailFast {
-                                    abort.store(true, Ordering::Relaxed);
-                                    return;
+                config.scope(|| {
+                    let mut state = init();
+                    loop {
+                        if abort.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let next =
+                            queue.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).recv();
+                        let Ok((start_row, slice)) = next else { break };
+                        for (offset, row) in slice.chunks_mut(row_len).enumerate() {
+                            let r = run_offset + start_row + offset;
+                            match std::panic::catch_unwind(AssertUnwindSafe(|| {
+                                f(&mut state, r, base.fork(r as u64), row)
+                            })) {
+                                Ok(()) => {}
+                                Err(payload) => {
+                                    let message = panic_detail(payload.as_ref());
+                                    collected
+                                        .lock()
+                                        .unwrap_or_else(|poisoned| poisoned.into_inner())
+                                        .push(RunFault { run: r, message });
+                                    if policy == PanicPolicy::FailFast {
+                                        abort.store(true, Ordering::Relaxed);
+                                        return;
+                                    }
                                 }
                             }
                         }
                     }
-                }
+                })
             });
         }
     });
@@ -646,6 +653,39 @@ mod tests {
             |_, r, _, row| row[0] = r,
         );
         assert_eq!(inits.load(Ordering::Relaxed), 1);
+    }
+
+    /// Workers inherit the caller's kernel configuration: under a scalar
+    /// override, rows filled by two workers are bit-equal to rows filled
+    /// on the calling thread (a worker on the process default backend
+    /// would round its GEMMs differently on any vector host).
+    #[test]
+    fn parallel_fill_rows_workers_inherit_the_callers_backend() {
+        use swim_tensor::linalg::matmul;
+        use swim_tensor::simd::{with_backend, Backend};
+        use swim_tensor::Tensor;
+        let base = Prng::seed_from_u64(8);
+        let fill = |threads: usize| {
+            let mut out = vec![0u32; 6 * 96];
+            parallel_fill_rows(
+                6,
+                96,
+                threads,
+                &base,
+                &mut out,
+                || (),
+                |_, _, mut rng, row| {
+                    let a = Tensor::randn(&[4, 64], &mut rng);
+                    let b = Tensor::randn(&[64, 24], &mut rng);
+                    for (bits, v) in row.iter_mut().zip(matmul(&a, &b).data()) {
+                        *bits = v.to_bits();
+                    }
+                },
+            );
+            out
+        };
+        let (serial, threaded) = with_backend(Backend::Scalar, || (fill(1), fill(2))).unwrap();
+        assert_eq!(serial, threaded);
     }
 
     #[test]

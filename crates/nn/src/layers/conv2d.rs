@@ -6,7 +6,7 @@ use crate::param::{Param, ParamKind};
 use swim_tensor::conv::{
     conv_forward_into, conv_input_grad_accumulate, conv_weight_grad_into, ConvGeometry,
 };
-use swim_tensor::tune::{self, GemmKind};
+use swim_tensor::tune::{self, GemmKind, KernelConfig};
 use swim_tensor::{Prng, Tensor};
 
 /// Bound, in `f32` elements (4 MiB), on the weight-gradient tiles a
@@ -227,8 +227,9 @@ impl Conv2d {
 }
 
 /// Runs `job` on every item: inline when `workers` is 1, otherwise on
-/// `workers` scoped threads, each taking a contiguous run of items. Jobs
-/// write disjoint outputs, so the split never changes a byte.
+/// `workers` scoped threads, each taking a contiguous run of items under
+/// the caller's kernel configuration. Jobs write disjoint outputs, so the
+/// split never changes a byte.
 fn for_each_image<I: Send>(workers: usize, items: impl Iterator<Item = I>, job: impl Fn(I) + Sync) {
     if workers <= 1 {
         items.for_each(job);
@@ -237,13 +238,14 @@ fn for_each_image<I: Send>(workers: usize, items: impl Iterator<Item = I>, job: 
     let items: Vec<I> = items.collect();
     let per_worker = items.len().div_ceil(workers);
     let mut items = items.into_iter();
+    let config = KernelConfig::current();
     std::thread::scope(|scope| loop {
         let run: Vec<I> = items.by_ref().take(per_worker).collect();
         if run.is_empty() {
             break;
         }
         let job = &job;
-        scope.spawn(move || run.into_iter().for_each(job));
+        scope.spawn(move || config.scope(|| run.into_iter().for_each(job)));
     });
 }
 
@@ -507,6 +509,48 @@ mod tests {
             assert_eq!(bits(threaded.weight.grad.data()), bits(conv.weight.grad.data()));
             assert_eq!(bits(threaded.weight.hess.data()), bits(conv.weight.hess.data()));
             assert_eq!(bits(threaded.bias.grad.data()), bits(conv.bias.grad.data()));
+        }
+    }
+
+    /// Image workers inherit the caller's kernel configuration: under a
+    /// scalar override, LeNet's convolutions split across three workers
+    /// are bit-equal to the serial scalar passes (a worker on the process
+    /// default backend would round differently on any vector host).
+    #[test]
+    fn image_workers_inherit_the_callers_backend() {
+        use swim_tensor::simd::{with_backend, Backend};
+        use swim_tensor::tune::{with_tuning, KernelTuning};
+        let mut rng = Prng::seed_from_u64(35);
+        // (cin, cout, padding, image side): LeNet conv1 and conv2.
+        for &(cin, cout, p, side) in &[(1usize, 6usize, 2usize, 28usize), (6, 16, 0, 14)] {
+            let conv = Conv2d::new(cin, cout, 5, 1, p, &mut rng);
+            let x = Tensor::randn(&[6, cin, side, side], &mut rng);
+            let out_side = side + 2 * p - 4;
+            let g = Tensor::randn(&[6, cout, out_side, out_side], &mut rng);
+            let passes = |threads: usize| {
+                let mut layer = conv.clone();
+                let split =
+                    KernelTuning { gemm_threads: threads, gemm_min_flops: 1, ..Default::default() };
+                with_tuning(&split, || {
+                    let y = layer.forward(&x, Mode::Train);
+                    let dx = layer.backward(&g);
+                    let hx = layer.second_backward(&g);
+                    [
+                        y.data(),
+                        dx.data(),
+                        hx.data(),
+                        layer.weight.grad.data(),
+                        layer.weight.hess.data(),
+                    ]
+                    .map(bits)
+                })
+            };
+            let (serial, split) = with_backend(Backend::Scalar, || (passes(1), passes(3))).unwrap();
+            for (what, (s, t)) in
+                ["y", "dx", "hx", "dw", "hw"].iter().zip(serial.iter().zip(&split))
+            {
+                assert_eq!(s, t, "{what}, {cin}->{cout}");
+            }
         }
     }
 

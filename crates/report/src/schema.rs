@@ -231,8 +231,8 @@ pub struct TuningDoc {
 }
 
 impl TuningDoc {
-    /// Captures the process-installed tuning config and (when tuning
-    /// is on) the winner cache as it stands.
+    /// Captures the calling thread's tuning config and (when tuning is
+    /// on) the winner cache as it stands.
     pub fn capture() -> TuningDoc {
         use swim_tensor::tune;
         let t = tune::current();

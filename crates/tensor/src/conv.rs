@@ -563,8 +563,6 @@ mod tests {
     #[test]
     fn nchw_packing_matches_materialized_panels() {
         use crate::linalg::{matmul, matmul_at, matmul_bt, pack_panels, Strides};
-        // Both sides of each comparison must run on one SIMD backend.
-        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(23);
         for g in [
             geom(1, 28, 28, 5, 1, 2), // LeNet conv1: 784 pixels, 25 taps

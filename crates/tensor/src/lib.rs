@@ -20,11 +20,14 @@
 //! * [`stats`] — `f64`-accumulated summary statistics and the Pearson
 //!   correlation used by the Fig. 1 sensitivity-correlation experiment.
 //! * [`simd`] — the portable-SIMD kernel layer (AVX2/AVX-512/NEON with a
-//!   scalar reference, selected once at startup via runtime feature
-//!   detection, overridable via `SWIM_SIMD`) that the GEMM microkernel
-//!   and the workspace's elementwise hot paths dispatch through.
-//! * [`tune`] — the unified [`tune::KernelTuning`] configuration and the
-//!   shape-keyed autotuner behind every kernel performance knob (GEMM
+//!   scalar reference; the process default comes from runtime feature
+//!   detection or `SWIM_SIMD`, and [`simd::with_backend`] overrides it
+//!   for one thread) that the GEMM microkernel and the workspace's
+//!   elementwise hot paths dispatch through.
+//! * [`tune`] — the [`tune::KernelConfig`] every kernel entry resolves
+//!   (a thread's scoped override, else the process default), the
+//!   [`tune::KernelTuning`] knobs in it, and the shape-keyed autotuner
+//!   behind every kernel performance knob (GEMM
 //!   threads/blocking/threading threshold), with
 //!   an optional host-fingerprinted on-disk winner cache. Timing-only by
 //!   contract: tuning never changes result bytes.
@@ -54,18 +57,6 @@ pub mod simd;
 pub mod stats;
 pub mod tensor;
 pub mod tune;
-
-/// Serializes this crate's unit tests that flip or depend on the
-/// process-global kernel state: the active SIMD backend
-/// ([`simd::with_backend`]) and the GEMM/tuning knobs
-/// ([`linalg::set_gemm_block_cols`], [`tune::install`],
-/// [`tune::with_tuning`]). Without it a test comparing two GEMM results
-/// bit for bit can see another test switch the backend between them.
-#[cfg(test)]
-pub(crate) fn kernel_state_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 pub use error::TensorError;
 pub use rng::Prng;

@@ -5,7 +5,7 @@
 //! points route through one blocked, register-tiled kernel ([`MR`]×[`NR`]
 //! accumulator tiles over a packed right-hand operand), with a
 //! multithreaded row-panel path above [`PARALLEL_MIN_FLOPS`] (tunable via
-//! [`set_gemm_parallel_min_flops`]). The transposed variants
+//! [`crate::tune::KernelTuning::gemm_min_flops`]). The transposed variants
 //! ([`matmul_at`], [`matmul_bt`]) pack their panels *directly from the
 //! strided source layout* — no transposed copy is ever materialized — and
 //! the `*_into` entry points ([`matmul_into`], [`matmul_at_into`],
@@ -51,8 +51,7 @@ pub const MR: usize = 4;
 pub const NR: usize = 32;
 /// Default minimum multiply count (`m·n·k`) before the row-panel
 /// threaded path engages; below it, thread-spawn overhead dominates.
-/// Override at runtime via [`crate::tune::KernelTuning`] (or the
-/// [`set_gemm_parallel_min_flops`] compatibility alias).
+/// Override at runtime via [`crate::tune::KernelTuning`].
 ///
 /// The default was chosen by measuring the spawn+join cost of the scoped
 /// worker threads (~15–40 µs per spawn on the benchmarked hosts) against
@@ -65,14 +64,16 @@ pub const NR: usize = 32;
 /// per shape anyway.
 pub const PARALLEL_MIN_FLOPS: usize = 1 << 22;
 
-/// Sets the worker-thread count for large matrix products.
+/// Sets the process default worker-thread count for large matrix
+/// products.
 ///
 /// Deprecated alias for installing a [`crate::tune::KernelTuning`] with
 /// `gemm_threads` set; kept so pre-tune callers keep compiling. `0`
-/// restores the default (one thread per available core). The setting is
-/// process-global; results are bit-identical for every value.
+/// restores the default (one thread per available core). Threads inside
+/// a [`crate::tune::with_tuning`] scope keep their own value; results
+/// are bit-identical for every value.
 pub fn set_gemm_threads(threads: usize) {
-    tune::pin_gemm_threads(threads);
+    tune::update_default(|c| c.gemm_threads = threads);
 }
 
 /// The worker-thread count large products will use.
@@ -80,31 +81,15 @@ pub fn gemm_threads() -> usize {
     tune::gemm_threads()
 }
 
-/// Sets the cache-blocking width (columns per packed panel group).
+/// Sets the process default cache-blocking width (columns per packed
+/// panel group).
 ///
 /// Deprecated alias for [`crate::tune::KernelTuning::gemm_block_cols`].
 /// `0` restores the automatic choice. Rounded up to a multiple of
 /// [`NR`]; purely a performance knob — results are bit-identical for
 /// every value.
 pub fn set_gemm_block_cols(cols: usize) {
-    tune::pin_gemm_block_cols(cols);
-}
-
-/// Sets the minimum multiply count (`m·n·k`) above which products go
-/// multithreaded.
-///
-/// Deprecated alias for [`crate::tune::KernelTuning::gemm_min_flops`].
-/// `0` restores the [`PARALLEL_MIN_FLOPS`] default; `1` makes every
-/// product eligible. Like the other knobs this is process-global and
-/// purely a performance setting — results are bit-identical for every
-/// value.
-pub fn set_gemm_parallel_min_flops(flops: usize) {
-    tune::pin_gemm_min_flops(flops);
-}
-
-/// The threading threshold large products currently use.
-pub fn gemm_parallel_min_flops() -> usize {
-    tune::gemm_min_flops()
+    tune::update_default(|c| c.gemm_block_cols = cols);
 }
 
 /// The effective column-block width for an `m×k · k×n` product under
@@ -1037,6 +1022,7 @@ pub fn outer(x: &Tensor, y: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use crate::rng::Prng;
+    use crate::tune::{with_tuning, KernelTuning};
 
     fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.shape()[0], a.shape()[1]);
@@ -1079,7 +1065,6 @@ mod tests {
     /// rounding per `k` step).
     #[test]
     fn blocked_kernel_matches_reference() {
-        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(11);
         for &(m, k, n) in &[(1, 1, 1), (3, 7, 5), (33, 17, 29), (64, 64, 64), (13, 128, 47)] {
             let a = Tensor::randn(&[m, k], &mut rng);
@@ -1101,7 +1086,6 @@ mod tests {
     /// backend, even on products large enough to take the parallel path.
     #[test]
     fn threaded_kernel_bit_identical_across_thread_counts() {
-        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(12);
         // 192·96·256 = 4.7M multiplies ≥ PARALLEL_MIN_FLOPS.
         let a = Tensor::randn(&[192, 96], &mut rng);
@@ -1128,16 +1112,15 @@ mod tests {
     /// bits.
     #[test]
     fn block_cols_knob_does_not_change_results() {
-        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(13);
         let a = Tensor::randn(&[24, 70], &mut rng);
         let b = Tensor::randn(&[70, 90], &mut rng);
         let baseline = matmul(&a, &b);
         for cols in [NR, 32, 64, 4096] {
-            set_gemm_block_cols(cols);
-            assert_eq!(matmul(&a, &b).data(), baseline.data(), "block_cols = {cols}");
+            let pinned = KernelTuning { gemm_block_cols: cols, ..Default::default() };
+            let blocked = with_tuning(&pinned, || matmul(&a, &b));
+            assert_eq!(blocked.data(), baseline.data(), "block_cols = {cols}");
         }
-        set_gemm_block_cols(0);
     }
 
     /// Regression for the zero-skip unsoundness: the old kernel skipped
@@ -1168,7 +1151,6 @@ mod tests {
     /// and accumulation order are identical, only the copy is gone.
     #[test]
     fn matmul_at_bit_identical_to_transpose_then_matmul() {
-        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(3);
         for &(k, m, n) in &[(6, 4, 5), (1, 1, 1), (33, 17, 29), (64, 13, 47), (128, 96, 70)] {
             let a = Tensor::randn(&[k, m], &mut rng);
@@ -1181,7 +1163,6 @@ mod tests {
     /// Same contract for the strided B-packing path.
     #[test]
     fn matmul_bt_bit_identical_to_matmul_with_transpose() {
-        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(4);
         for &(m, k, n) in &[(3, 8, 5), (1, 1, 1), (29, 17, 33), (13, 64, 47), (96, 70, 128)] {
             let a = Tensor::randn(&[m, k], &mut rng);
@@ -1194,7 +1175,6 @@ mod tests {
     /// The `_into` entry points are the same kernels on caller buffers.
     #[test]
     fn into_variants_match_tensor_variants() {
-        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(14);
         let a = Tensor::randn(&[9, 7], &mut rng);
         let b = Tensor::randn(&[7, 11], &mut rng);
@@ -1219,16 +1199,17 @@ mod tests {
     /// The threading threshold is a pure performance knob.
     #[test]
     fn min_flops_knob_does_not_change_results() {
-        let _kernel_state = crate::kernel_state_lock();
         let mut rng = Prng::seed_from_u64(15);
         let a = Tensor::randn(&[40, 30], &mut rng);
         let b = Tensor::randn(&[30, 50], &mut rng);
         let baseline = matmul(&a, &b);
-        set_gemm_parallel_min_flops(1); // force the threaded path
-        let forced = matmul(&a, &b);
-        set_gemm_parallel_min_flops(0);
+        // Force the threaded path.
+        let threaded = KernelTuning { gemm_threads: 3, gemm_min_flops: 1, ..Default::default() };
+        let forced = with_tuning(&threaded, || matmul(&a, &b));
         assert_eq!(forced.data(), baseline.data());
-        assert_eq!(gemm_parallel_min_flops(), PARALLEL_MIN_FLOPS);
+        // `0` means the built-in threshold.
+        let auto = with_tuning(&KernelTuning::default(), tune::gemm_min_flops);
+        assert_eq!(auto, PARALLEL_MIN_FLOPS);
     }
 
     #[test]

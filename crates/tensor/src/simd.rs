@@ -8,13 +8,17 @@
 //!
 //! * [`Backend`] names one instruction-set implementation: `scalar`
 //!   (the reference), `avx2` (+FMA), `avx512` (AVX-512F), or `neon`.
-//! * The active backend is selected **once**, lazily, from the
-//!   `SWIM_SIMD` environment variable if set (`scalar`, `avx2`,
+//! * The process default backend is selected **once**, lazily, from
+//!   the `SWIM_SIMD` environment variable if set (`scalar`, `avx2`,
 //!   `avx512`, `neon`; unknown or unsupported values abort with a clear
 //!   message) and otherwise by runtime feature detection in preference
 //!   order `avx512` > `avx2` > `scalar` on x86-64 and `neon` > `scalar`
-//!   on AArch64. [`set_backend`] overrides it programmatically (the
-//!   `--simd` / `[run] simd` experiment knob routes through it).
+//!   on AArch64. [`with_backend`] overrides it for the calling thread
+//!   only, for the length of a closure (the `--simd` / `[run] simd`
+//!   experiment knob runs the whole experiment inside one). The backend
+//!   is part of the [`crate::tune::KernelConfig`] every kernel entry
+//!   resolves, and the Monte Carlo and convolution workers inherit
+//!   their caller's.
 //! * Kernels are written once as generic bodies over the [`SimdLane`]
 //!   trait and monomorphized per backend behind `#[target_feature]`
 //!   wrappers, so a binary built for baseline x86-64 still runs AVX-512
@@ -48,8 +52,7 @@
 //! tests that compare against them force `Backend::Scalar` via
 //! [`with_backend`].
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
+use crate::tune::KernelConfig;
 
 /// Per-element relative tolerance pinned for GEMM outputs of a vector
 /// backend against the scalar reference (see the module docs: the FMA
@@ -61,17 +64,16 @@ pub const GEMM_DRIFT_TOL: f32 = 1e-4;
 
 /// One SIMD instruction-set implementation of the kernel layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
 pub enum Backend {
     /// Plain scalar Rust: the reference implementation, available
     /// everywhere.
-    Scalar = 1,
+    Scalar,
     /// AVX2 + FMA (x86-64), 8 `f32` lanes.
-    Avx2 = 2,
+    Avx2,
     /// AVX-512F (x86-64), 16 `f32` lanes.
-    Avx512 = 3,
+    Avx512,
     /// NEON (AArch64), 4 `f32` lanes.
-    Neon = 4,
+    Neon,
 }
 
 impl Backend {
@@ -119,16 +121,6 @@ impl Backend {
             _ => false,
         }
     }
-
-    fn from_u8(v: u8) -> Backend {
-        match v {
-            1 => Backend::Scalar,
-            2 => Backend::Avx2,
-            3 => Backend::Avx512,
-            4 => Backend::Neon,
-            _ => unreachable!("invalid backend repr {v}"),
-        }
-    }
 }
 
 impl std::fmt::Display for Backend {
@@ -138,7 +130,7 @@ impl std::fmt::Display for Backend {
 }
 
 /// The backend runtime feature detection would pick on this host,
-/// ignoring `SWIM_SIMD` and any [`set_backend`] override.
+/// ignoring `SWIM_SIMD` and any [`with_backend`] override.
 pub fn detected_backend() -> Backend {
     *Backend::ALL.iter().find(|b| b.is_supported()).expect("scalar backend is always supported")
 }
@@ -149,33 +141,18 @@ pub fn available_backends() -> Vec<Backend> {
     Backend::ALL.iter().copied().filter(|b| b.is_supported()).collect()
 }
 
-/// The active backend; `0` means "not yet initialized".
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// Serializes [`with_backend`] scopes: the active backend is process
-/// global, so concurrent overriders (parallel tests) must take turns.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-/// The active SIMD backend, initializing it on first use.
+/// The calling thread's SIMD backend: its [`with_backend`] override,
+/// else the process default.
 ///
-/// First use reads `SWIM_SIMD` (panicking on unknown or unsupported
-/// values — a silently ignored override would be worse) and falls back
-/// to [`detected_backend`]. Hot kernels call this per invocation; after
-/// initialization it is a single relaxed atomic load.
+/// The default is read on first use from `SWIM_SIMD` (panicking on
+/// unknown or unsupported values — a silently ignored override would be
+/// worse), falling back to [`detected_backend`]. Hot kernels call this
+/// per invocation.
 pub fn backend() -> Backend {
-    match ACTIVE.load(Ordering::Relaxed) {
-        0 => {
-            // A racing second initializer computes the same value, so
-            // the unsynchronized double-store is benign.
-            let b = initial_backend();
-            ACTIVE.store(b as u8, Ordering::Relaxed);
-            b
-        }
-        v => Backend::from_u8(v),
-    }
+    KernelConfig::current().backend
 }
 
-fn initial_backend() -> Backend {
+pub(crate) fn initial_backend() -> Backend {
     match std::env::var("SWIM_SIMD") {
         Ok(name) => {
             let b = Backend::parse(&name).unwrap_or_else(|| {
@@ -196,30 +173,12 @@ fn available_names() -> String {
     available_backends().iter().map(|b| b.name()).collect::<Vec<_>>().join(", ")
 }
 
-/// Sets the active backend for the rest of the process.
+/// Runs `f` with `b` as the calling thread's backend, restoring the
+/// previous one afterwards (also on panic).
 ///
-/// Overrides both autodetection and `SWIM_SIMD`; the `--simd` / `[run]
-/// simd` experiment knob routes through here. Fails (leaving the active
-/// backend unchanged) if the host cannot execute `b`.
-pub fn set_backend(b: Backend) -> Result<(), String> {
-    if !b.is_supported() {
-        return Err(format!(
-            "SIMD backend '{}' is not supported on this host (available: {})",
-            b.name(),
-            available_names()
-        ));
-    }
-    ACTIVE.store(b as u8, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Runs `f` with `b` as the active backend, restoring the previous
-/// backend afterwards (also on panic).
-///
-/// The backend is process-global, so scopes are serialized by an
-/// internal mutex — this is the only safe way for tests and benches to
-/// iterate backends while the rest of the suite runs in parallel
-/// threads. Fails without running `f` if `b` is unsupported.
+/// Other threads keep their own backend, so tests and benches can
+/// iterate backends while the rest of the suite runs in parallel.
+/// Fails without running `f` if the host cannot execute `b`.
 pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> Result<R, String> {
     if !b.is_supported() {
         return Err(format!(
@@ -228,18 +187,7 @@ pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> Result<R, String> {
             available_names()
         ));
     }
-    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore(Backend);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            ACTIVE.store(self.0 as u8, Ordering::Relaxed);
-        }
-    }
-    let restore = Restore(backend());
-    ACTIVE.store(b as u8, Ordering::Relaxed);
-    let out = f();
-    drop(restore);
-    Ok(out)
+    Ok(KernelConfig { backend: b, ..KernelConfig::current() }.scope(f))
 }
 
 /// The widest lane count any backend uses (AVX-512), sized for
@@ -1113,7 +1061,6 @@ mod tests {
 
     #[test]
     fn with_backend_restores_previous_backend() {
-        let _kernel_state = crate::kernel_state_lock();
         let before = backend();
         let ran = with_backend(Backend::Scalar, || {
             assert_eq!(backend(), Backend::Scalar);
@@ -1126,7 +1073,6 @@ mod tests {
 
     #[test]
     fn with_backend_restores_on_panic() {
-        let _kernel_state = crate::kernel_state_lock();
         let before = backend();
         let result = std::panic::catch_unwind(|| {
             let _ = with_backend(Backend::Scalar, || panic!("boom"));
@@ -1137,13 +1083,11 @@ mod tests {
 
     #[test]
     fn unsupported_backend_is_rejected() {
-        let _kernel_state = crate::kernel_state_lock();
         #[cfg(target_arch = "x86_64")]
         let foreign = Backend::Neon;
         #[cfg(not(target_arch = "x86_64"))]
         let foreign = Backend::Avx2;
         assert!(!foreign.is_supported());
-        assert!(set_backend(foreign).is_err());
         assert!(with_backend(foreign, || ()).is_err());
     }
 
@@ -1152,7 +1096,6 @@ mod tests {
     /// values, infinities, and NaN.
     #[test]
     fn round_ties_away_matches_f32_round_on_every_backend() {
-        let _kernel_state = crate::kernel_state_lock();
         let cases: Vec<f32> = vec![
             0.0,
             -0.0,
@@ -1202,7 +1145,6 @@ mod tests {
 
     #[test]
     fn elementwise_kernels_bit_identical_across_backends() {
-        let _kernel_state = crate::kernel_state_lock();
         let input: Vec<f32> = (0..67)
             .map(|i| (i as f32 - 33.0) * 0.37)
             .chain([f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e-40])
@@ -1253,7 +1195,6 @@ mod tests {
 
     #[test]
     fn scale_add_f64_bit_identical_across_backends() {
-        let _kernel_state = crate::kernel_state_lock();
         let targets: Vec<f64> = (0..37).map(|i| i as f64 * 0.71 - 11.0).collect();
         let zs: Vec<f64> = (0..37).map(|i| (i as f64 * 1.37).sin()).collect();
         let reference: Vec<f64> = targets.iter().zip(&zs).map(|(&t, &z)| t + 0.1 * z).collect();

@@ -6,9 +6,22 @@
 //! [`crate::linalg::PARALLEL_MIN_FLOPS`] threading threshold — now
 //! resolves through this module. One [`KernelTuning`] value is resolved
 //! per run (the experiment engine composes spec `[tune]` > CLI flags >
-//! environment > built-in default) and installed process-wide with
-//! [`install`]; the kernels then consult it through the cheap atomic
-//! accessor [`gemm_plan`].
+//! environment > built-in default) and entered as a scope with
+//! [`with_tuning`]; the kernels then consult it through [`gemm_plan`].
+//!
+//! # Configuration: a process default and a scoped override
+//!
+//! Every kernel entry resolves one [`KernelConfig`] (the SIMD backend
+//! plus these knobs): the calling thread's scoped override if it has
+//! one, else the process default. [`install`] writes the default and
+//! nothing else; [`with_tuning`] and [`crate::simd::with_backend`] set
+//! the calling thread's override and restore it on exit, panics
+//! included. No override leaks into another thread, so concurrent runs
+//! and tests cannot see each other's configuration. The Monte Carlo and
+//! convolution workers capture [`KernelConfig::current`] and enter it,
+//! and the GEMM hands its threads the backend and the resolved plan.
+//! The on-disk cache directory and the winner map stay process-level:
+//! they are caches keyed by backend and thread count.
 //!
 //! # Autotune mode
 //!
@@ -41,10 +54,11 @@
 
 use crate::linalg::{NR, PARALLEL_MIN_FLOPS};
 use crate::simd::{self, Backend};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Timing repetitions per candidate; the median is compared, so one
@@ -156,127 +170,153 @@ impl KernelTuning {
     }
 }
 
-// ---------------------------------------------------------------- state
+// -------------------------------------------------------- configuration
 
-/// `MODE` holds `TuneMode as u8 + 1`; `0` means "not yet initialized
-/// from the environment".
-static MODE: AtomicU8 = AtomicU8::new(0);
-static PIN_THREADS: AtomicUsize = AtomicUsize::new(0);
-static PIN_BLOCK: AtomicUsize = AtomicUsize::new(0);
-static PIN_MIN_FLOPS: AtomicUsize = AtomicUsize::new(0);
-static PIN_IM2COL: AtomicUsize = AtomicUsize::new(0);
-
-fn mode_to_u8(m: TuneMode) -> u8 {
-    match m {
-        TuneMode::Off => 1,
-        TuneMode::On => 2,
-    }
-}
-
-fn mode_from_u8(v: u8) -> TuneMode {
-    match v {
-        2 => TuneMode::On,
-        _ => TuneMode::Off,
-    }
-}
-
-fn init_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// First-use initialization from the environment (no-op afterwards).
-fn ensure_init() {
-    if MODE.load(Ordering::Acquire) != 0 {
-        return;
-    }
-    let _guard = init_lock().lock().unwrap_or_else(|e| e.into_inner());
-    if MODE.load(Ordering::Acquire) != 0 {
-        return;
-    }
-    let t = KernelTuning::from_env();
-    store(&t);
-}
-
-/// Writes `t` into the global knobs; `MODE` last, so concurrent
-/// first-use readers never observe a half-written config.
-fn store(t: &KernelTuning) {
-    PIN_THREADS.store(t.gemm_threads, Ordering::Relaxed);
-    PIN_BLOCK.store(t.gemm_block_cols, Ordering::Relaxed);
-    PIN_MIN_FLOPS.store(t.gemm_min_flops, Ordering::Relaxed);
-    PIN_IM2COL.store(t.im2col_cap_elems, Ordering::Relaxed);
-    set_cache_dir(t.cache_dir.as_deref());
-    MODE.store(mode_to_u8(t.mode), Ordering::Release);
-}
-
-/// Installs `t` as the process-wide kernel-tuning configuration.
+/// The kernel configuration every kernel entry resolves: the SIMD
+/// backend plus the knobs of a [`KernelTuning`] (all but its cache
+/// directory, which names a process-level cache, not configuration).
 ///
-/// The experiment engine calls this once per run after composing the
-/// precedence chain (spec `[tune]` > flags > environment > default).
-/// Timing-only: installing a different config never changes result
-/// bytes, so a mid-process re-install is always safe.
-pub fn install(t: &KernelTuning) {
-    let _guard = init_lock().lock().unwrap_or_else(|e| e.into_inner());
-    store(t);
+/// A thread's configuration is its scoped override if it has one
+/// ([`KernelConfig::scope`], [`crate::simd::with_backend`],
+/// [`with_tuning`]), else the process default ([`install`], read from
+/// `SWIM_SIMD` and the `SWIM_TUNE*` variables on first use). An override
+/// never reaches another thread: code that fans work out captures
+/// [`KernelConfig::current`] and enters it in each worker.
+///
+/// The fields are crate-private, so every value outside this crate is
+/// a copy of one [`KernelConfig::current`] returned, and its backend is
+/// one the host supports: the `unsafe` vector kernels rely on that.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelConfig {
+    /// SIMD backend the kernels dispatch through; always one that
+    /// passed runtime feature detection.
+    pub(crate) backend: Backend,
+    /// Whether the shape-keyed autotuner runs.
+    pub(crate) mode: TuneMode,
+    /// GEMM worker threads (`0` = one per available core).
+    pub(crate) gemm_threads: usize,
+    /// GEMM packed-panel block width (`0` = heuristic / autotuned).
+    pub(crate) gemm_block_cols: usize,
+    /// Threading threshold in multiplies (`0` = [`PARALLEL_MIN_FLOPS`]).
+    pub(crate) gemm_min_flops: usize,
+    /// The inert im2col cap, carried for results provenance.
+    pub(crate) im2col_cap_elems: usize,
 }
 
-/// A snapshot of the installed configuration (environment-initialized
-/// on first use).
-pub fn current() -> KernelTuning {
-    ensure_init();
-    KernelTuning {
-        mode: mode(),
-        gemm_threads: PIN_THREADS.load(Ordering::Relaxed),
-        gemm_block_cols: PIN_BLOCK.load(Ordering::Relaxed),
-        gemm_min_flops: PIN_MIN_FLOPS.load(Ordering::Relaxed),
-        im2col_cap_elems: PIN_IM2COL.load(Ordering::Relaxed),
-        cache_dir: disk().lock().unwrap_or_else(|e| e.into_inner()).dir.clone(),
-    }
+thread_local! {
+    /// The calling thread's scoped override (`None` = the process
+    /// default). Const-initialized, so reading it never allocates.
+    static OVERRIDE: Cell<Option<KernelConfig>> = const { Cell::new(None) };
 }
 
-/// Runs `f` with `t` temporarily installed, restoring the previous
-/// configuration afterwards (panic-safe, serialized across threads).
-pub fn with_tuning<R>(t: &KernelTuning, f: impl FnOnce() -> R) -> R {
-    static OVERRIDE_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let _guard =
-        OVERRIDE_LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner());
-    let previous = current();
-    struct Restore(KernelTuning);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            install(&self.0);
+/// The process default; `None` until first use reads the environment.
+static DEFAULT: RwLock<Option<KernelConfig>> = RwLock::new(None);
+
+impl KernelConfig {
+    fn new(backend: Backend, t: &KernelTuning) -> KernelConfig {
+        KernelConfig {
+            backend,
+            mode: t.mode,
+            gemm_threads: t.gemm_threads,
+            gemm_block_cols: t.gemm_block_cols,
+            gemm_min_flops: t.gemm_min_flops,
+            im2col_cap_elems: t.im2col_cap_elems,
         }
     }
-    let _restore = Restore(previous);
-    install(t);
-    f()
+
+    /// The calling thread's configuration: its scoped override, else
+    /// the process default.
+    pub fn current() -> KernelConfig {
+        OVERRIDE.with(Cell::get).unwrap_or_else(process_default)
+    }
+
+    /// Runs `f` with `self` as the calling thread's configuration and
+    /// restores the previous one afterwards, also on panic.
+    pub fn scope<R>(self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<KernelConfig>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                OVERRIDE.with(|o| o.set(self.0));
+            }
+        }
+        let _restore = Restore(OVERRIDE.with(|o| o.replace(Some(self))));
+        f()
+    }
+
+    fn threads(self) -> usize {
+        match self.gemm_threads {
+            0 => detected_parallelism(),
+            n => n,
+        }
+    }
+
+    fn min_flops(self) -> usize {
+        match self.gemm_min_flops {
+            0 => PARALLEL_MIN_FLOPS,
+            n => n,
+        }
+    }
+
+    fn block_cols(self, k: usize, n: usize) -> usize {
+        let cols = match self.gemm_block_cols {
+            0 => block_cols_heuristic(k),
+            cols => cols,
+        };
+        clamp_block(cols, n)
+    }
 }
 
-/// The active tuning mode.
-pub fn mode() -> TuneMode {
-    ensure_init();
-    mode_from_u8(MODE.load(Ordering::Relaxed))
+fn process_default() -> KernelConfig {
+    let installed = *DEFAULT.read().unwrap_or_else(PoisonError::into_inner);
+    installed.unwrap_or_else(|| update_default(|_| {}))
 }
 
-/// Pins the GEMM worker-thread count (`0` = auto). Compatibility shim
-/// behind [`crate::linalg::set_gemm_threads`].
-pub fn pin_gemm_threads(threads: usize) {
-    ensure_init();
-    PIN_THREADS.store(threads, Ordering::Relaxed);
+/// Applies `f` to the process default, reading the environment first
+/// if nothing has yet, and returns the result.
+pub(crate) fn update_default(f: impl FnOnce(&mut KernelConfig)) -> KernelConfig {
+    let mut slot = DEFAULT.write().unwrap_or_else(PoisonError::into_inner);
+    let mut c = slot
+        .unwrap_or_else(|| KernelConfig::new(simd::initial_backend(), &KernelTuning::from_env()));
+    f(&mut c);
+    *slot = Some(c);
+    c
 }
 
-/// Pins the GEMM block width (`0` = auto). Compatibility shim behind
-/// [`crate::linalg::set_gemm_block_cols`].
-pub fn pin_gemm_block_cols(cols: usize) {
-    ensure_init();
-    PIN_BLOCK.store(cols, Ordering::Relaxed);
+/// Installs `t` as the process default tuning, keeping the default
+/// backend, and points the winner cache at `t.cache_dir` (`None`
+/// disables persistence).
+///
+/// For entry points that configure the whole process (the CLI). Threads
+/// inside a [`with_tuning`] or [`KernelConfig::scope`] keep their
+/// override. Timing-only: no configuration changes result bytes.
+pub fn install(t: &KernelTuning) {
+    update_default(|c| *c = KernelConfig::new(c.backend, t));
+    set_cache_dir(t.cache_dir.as_deref());
 }
 
-/// Pins the threading threshold (`0` = default). Compatibility shim
-/// behind [`crate::linalg::set_gemm_parallel_min_flops`].
-pub fn pin_gemm_min_flops(flops: usize) {
-    ensure_init();
-    PIN_MIN_FLOPS.store(flops, Ordering::Relaxed);
+/// The calling thread's tuning: its scoped override, else the process
+/// default, plus the process-level cache directory.
+pub fn current() -> KernelTuning {
+    let c = KernelConfig::current();
+    KernelTuning {
+        mode: c.mode,
+        gemm_threads: c.gemm_threads,
+        gemm_block_cols: c.gemm_block_cols,
+        gemm_min_flops: c.gemm_min_flops,
+        im2col_cap_elems: c.im2col_cap_elems,
+        cache_dir: cache_dir(),
+    }
+}
+
+/// Runs `f` with `t` as the calling thread's tuning on its current
+/// backend, restoring the previous configuration afterwards (also on
+/// panic); other threads are unaffected.
+///
+/// `t.cache_dir` is ignored: the winner cache is process-level, pointed
+/// at a directory only by [`install`], [`set_cache_dir`] and
+/// `SWIM_TUNE_CACHE`.
+pub fn with_tuning<R>(t: &KernelTuning, f: impl FnOnce() -> R) -> R {
+    KernelConfig::new(KernelConfig::current().backend, t).scope(f)
 }
 
 /// `available_parallelism`, detected once and cached.
@@ -300,29 +340,18 @@ pub fn detected_parallelism() -> usize {
 
 /// The worker-thread count large products will use.
 pub fn gemm_threads() -> usize {
-    ensure_init();
-    match PIN_THREADS.load(Ordering::Relaxed) {
-        0 => detected_parallelism(),
-        n => n,
-    }
+    KernelConfig::current().threads()
 }
 
 /// The threading threshold large products currently use.
 pub fn gemm_min_flops() -> usize {
-    ensure_init();
-    match PIN_MIN_FLOPS.load(Ordering::Relaxed) {
-        0 => PARALLEL_MIN_FLOPS,
-        n => n,
-    }
+    KernelConfig::current().min_flops()
 }
 
 /// The effective column-block width for an `m×k · k×n` product under
 /// the *pin/heuristic* path (no shape-keyed lookup).
 pub fn gemm_block_cols(k: usize, n: usize) -> usize {
-    ensure_init();
-    let requested = PIN_BLOCK.load(Ordering::Relaxed);
-    let cols = if requested == 0 { block_cols_heuristic(k) } else { requested };
-    clamp_block(cols, n)
+    KernelConfig::current().block_cols(k, n)
 }
 
 /// The cache-resident block-width heuristic: keep the active packed
@@ -487,24 +516,18 @@ pub struct GemmPlan {
 /// looked up in the winner cache, then the on-disk cache, and finally
 /// autotuned with a median-of-[`TUNE_REPS`] timing loop.
 pub fn gemm_plan(kind: GemmKind, m: usize, k: usize, n: usize, threads_req: usize) -> GemmPlan {
-    ensure_init();
-    let threads = if threads_req == 0 { gemm_threads() } else { threads_req };
+    let c = KernelConfig::current();
+    let threads = if threads_req == 0 { c.threads() } else { threads_req };
     let flops = m.saturating_mul(n).saturating_mul(k);
-    let default_workers = if flops < gemm_min_flops() { 1 } else { threads.min(m).max(1) };
-    let pinned_block = PIN_BLOCK.load(Ordering::Relaxed);
     let default_plan = GemmPlan {
-        workers: default_workers,
-        block_cols: if pinned_block == 0 {
-            clamp_block(block_cols_heuristic(k), n)
-        } else {
-            clamp_block(pinned_block, n)
-        },
+        workers: if flops < c.min_flops() { 1 } else { threads.min(m).max(1) },
+        block_cols: c.block_cols(k, n),
     };
-    if mode() == TuneMode::Off || pinned_block != 0 || flops < TUNE_MIN_FLOPS {
+    if c.mode == TuneMode::Off || c.gemm_block_cols != 0 || flops < TUNE_MIN_FLOPS {
         return default_plan;
     }
 
-    let key = TuneKey::Gemm { kind, m, k, n, backend: simd::backend(), threads };
+    let key = TuneKey::Gemm { kind, m, k, n, backend: c.backend, threads };
     if let Some(choice) = winners().read().unwrap_or_else(|e| e.into_inner()).get(&key) {
         return GemmPlan { workers: choice.workers.max(1), block_cols: choice.value };
     }
@@ -602,9 +625,15 @@ struct DiskCache {
     entries: HashMap<String, (usize, usize)>,
 }
 
+/// The process-level winner cache, pointed at `SWIM_TUNE_CACHE` on
+/// first use.
 fn disk() -> &'static Mutex<DiskCache> {
     static DISK: OnceLock<Mutex<DiskCache>> = OnceLock::new();
-    DISK.get_or_init(|| Mutex::new(DiskCache { dir: None, entries: HashMap::new() }))
+    DISK.get_or_init(|| {
+        let dir = KernelTuning::from_env().cache_dir;
+        let entries = dir.as_deref().map(load_cache).unwrap_or_default();
+        Mutex::new(DiskCache { dir, entries })
+    })
 }
 
 /// The host fingerprint on-disk winners are keyed by: CPU brand, SIMD
@@ -646,6 +675,11 @@ pub fn cache_file(dir: &Path) -> PathBuf {
     dir.join(format!("swim-tune-{:016x}.cache", fnv1a64(&host_fingerprint())))
 }
 
+/// The process-level winner-cache directory (`None` = in-process only).
+fn cache_dir() -> Option<PathBuf> {
+    disk().lock().unwrap_or_else(|e| e.into_inner()).dir.clone()
+}
+
 /// Points the on-disk winner cache at `dir` (`None` disables
 /// persistence) and loads any existing entries for this host.
 ///
@@ -653,25 +687,28 @@ pub fn cache_file(dir: &Path) -> PathBuf {
 /// or other-host file is ignored with a warning on stderr — the shapes
 /// simply re-tune — never a panic or a failed run.
 pub fn set_cache_dir(dir: Option<&Path>) {
+    let entries = dir.map(load_cache).unwrap_or_default();
     let mut cache = disk().lock().unwrap_or_else(|e| e.into_inner());
-    cache.entries.clear();
     cache.dir = dir.map(Path::to_path_buf);
-    let Some(dir) = dir else { return };
+    cache.entries = entries;
+}
+
+/// This host's entries in the cache under `dir`, or none (with a
+/// warning) when the file is unreadable or malformed.
+fn load_cache(dir: &Path) -> HashMap<String, (usize, usize)> {
     let path = cache_file(dir);
     let text = match std::fs::read_to_string(&path) {
         Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return HashMap::new(),
         Err(e) => {
             eprintln!("[swim] tune cache {}: {e}; re-tuning", path.display());
-            return;
+            return HashMap::new();
         }
     };
-    match parse_cache(&text) {
-        Ok(entries) => cache.entries = entries,
-        Err(reason) => {
-            eprintln!("[swim] tune cache {}: {reason}; ignoring it and re-tuning", path.display());
-        }
-    }
+    parse_cache(&text).unwrap_or_else(|reason| {
+        eprintln!("[swim] tune cache {}: {reason}; ignoring it and re-tuning", path.display());
+        HashMap::new()
+    })
 }
 
 /// Parses the line-based cache format; any irregularity rejects the
@@ -778,28 +815,30 @@ mod tests {
 
     #[test]
     fn install_and_current_round_trip() {
-        let _kernel_state = crate::kernel_state_lock();
         let t = KernelTuning {
             mode: TuneMode::On,
             gemm_threads: 3,
             gemm_block_cols: 64,
             gemm_min_flops: 1234,
             im2col_cap_elems: 99,
-            cache_dir: None,
+            cache_dir: Some(std::env::temp_dir().join("swim-tune-scoped-dir-is-ignored")),
         };
-        let before = current();
+        let before = KernelConfig::current();
         with_tuning(&t, || {
-            assert_eq!(current(), t);
+            let scoped = current();
+            // The cache directory is process-level: a scope never points it.
+            assert_ne!(scoped.cache_dir, t.cache_dir);
+            assert_eq!(KernelTuning { cache_dir: t.cache_dir.clone(), ..scoped }, t);
             assert_eq!(gemm_threads(), 3);
             assert_eq!(gemm_min_flops(), 1234);
+            assert_eq!(KernelConfig::current().backend, before.backend);
         });
         // Restored afterwards.
-        assert_eq!(current(), before);
+        assert_eq!(KernelConfig::current(), before);
     }
 
     #[test]
     fn plan_defaults_match_legacy_heuristic() {
-        let _kernel_state = crate::kernel_state_lock();
         with_tuning(&KernelTuning::default(), || {
             let plan = gemm_plan(GemmKind::MM, 8, 70, 90, 1);
             assert_eq!(plan.workers, 1, "below the flops threshold");
@@ -807,67 +846,76 @@ mod tests {
         });
     }
 
+    /// The winner map is process-level and the tests share it, so each
+    /// test tunes a key no other test uses and looks only at that key.
+    fn record(prefix: &str) -> Option<ChoiceRecord> {
+        choice_records().into_iter().find(|r| r.key.starts_with(prefix))
+    }
+
     #[test]
     fn autotune_caches_winner_per_key() {
-        let _kernel_state = crate::kernel_state_lock();
-        clear_winners();
         let t = KernelTuning { mode: TuneMode::On, ..Default::default() };
         with_tuning(&t, || {
             let plan1 = gemm_plan(GemmKind::MM, 128, 128, 128, 1);
-            let records = choice_records();
-            assert_eq!(records.len(), 1, "{records:?}");
-            assert!(records[0].key.starts_with("gemm-mm:128x128x128:"), "{}", records[0].key);
-            assert_eq!(records[0].source, "autotune");
+            let tuned = record("gemm-mm:128x128x128:").expect("the winner is recorded");
+            assert_eq!(tuned.source, "autotune");
             // Second call is a cache hit returning the same plan.
             let plan2 = gemm_plan(GemmKind::MM, 128, 128, 128, 1);
             assert_eq!(plan1, plan2);
-            assert_eq!(choice_records().len(), 1);
+            assert_eq!(record("gemm-mm:128x128x128:"), Some(tuned));
         });
-        clear_winners();
     }
 
     #[test]
     fn tiny_products_skip_the_timing_loop() {
-        let _kernel_state = crate::kernel_state_lock();
-        clear_winners();
         let t = KernelTuning { mode: TuneMode::On, ..Default::default() };
         with_tuning(&t, || {
             let _ = gemm_plan(GemmKind::MM, 4, 4, 4, 1);
-            assert!(choice_records().is_empty(), "tiny shapes must not be tuned");
+            assert_eq!(record("gemm-mm:4x4x4:"), None, "tiny shapes must not be tuned");
         });
     }
 
     #[test]
     fn disk_cache_round_trips_bit_exactly() {
-        let _kernel_state = crate::kernel_state_lock();
-        clear_winners();
+        const KEY: &str = "gemm-bt:128x128x128:";
         let dir = std::env::temp_dir().join(format!("swim-tune-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let t =
-            KernelTuning { mode: TuneMode::On, cache_dir: Some(dir.clone()), ..Default::default() };
+        let t = KernelTuning { mode: TuneMode::On, ..Default::default() };
+        let forget = || {
+            winners()
+                .write()
+                .unwrap_or_else(|e| e.into_inner())
+                .retain(|key, _| !key.render().starts_with(KEY));
+        };
+        // Only this test's own line: other tests may persist theirs here
+        // while the process-level cache points at `dir`.
+        let persisted = || {
+            let text = std::fs::read_to_string(cache_file(&dir)).ok()?;
+            assert!(text.starts_with(CACHE_FORMAT));
+            text.lines().find(|l| l.starts_with(KEY)).map(str::to_string)
+        };
+        set_cache_dir(Some(&dir));
         with_tuning(&t, || {
-            let plan = gemm_plan(GemmKind::MM, 128, 128, 128, 1);
-            let written = std::fs::read_to_string(cache_file(&dir)).unwrap();
-            assert!(written.starts_with(CACHE_FORMAT));
-            // A fresh process (simulated: clear in-memory winners,
+            let plan = gemm_plan(GemmKind::BT, 128, 128, 128, 1);
+            let line = persisted().expect("the winner is persisted");
+            assert!(line.ends_with(&format!(" {},{}", plan.block_cols, plan.workers)), "{line}");
+            // A fresh process (simulated: forget the in-memory winner,
             // reload the dir) must adopt the identical choice.
-            clear_winners();
+            forget();
             set_cache_dir(Some(&dir));
-            let reloaded = gemm_plan(GemmKind::MM, 128, 128, 128, 1);
+            let reloaded = gemm_plan(GemmKind::BT, 128, 128, 128, 1);
             assert_eq!(reloaded, plan);
-            let records = choice_records();
-            assert_eq!(records[0].source, "disk-cache");
-            // And the reloaded state re-persists byte-identically.
-            let rewritten = std::fs::read_to_string(cache_file(&dir)).unwrap();
-            assert_eq!(rewritten, written);
+            assert_eq!(record(KEY).unwrap().source, "disk-cache");
+            // The disk-cache hit leaves the persisted entry as it was.
+            assert_eq!(persisted(), Some(line));
         });
+        set_cache_dir(None);
+        forget();
         let _ = std::fs::remove_dir_all(&dir);
-        clear_winners();
     }
 
     #[test]
     fn corrupt_truncated_and_foreign_caches_are_ignored() {
-        let _kernel_state = crate::kernel_state_lock();
         let dir = std::env::temp_dir().join(format!("swim-tune-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -884,10 +932,9 @@ mod tests {
             &format!("{CACHE_FORMAT}\nhost {}\nmissing-config-field\n", host_fingerprint()),
         ] {
             std::fs::write(&path, bad).unwrap();
-            set_cache_dir(Some(&dir)); // must warn, never panic
-            assert_eq!(disk_entry_count(), 0, "bad cache {bad:?} must load zero entries");
+            // Must warn, never panic.
+            assert!(load_cache(&dir).is_empty(), "bad cache {bad:?} must load zero entries");
         }
-        set_cache_dir(None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

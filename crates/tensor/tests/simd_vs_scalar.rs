@@ -282,3 +282,54 @@ proptest! {
         }
     }
 }
+
+/// A backend or tuning override is scoped to the thread that sets it.
+/// Thread A loops scalar-pinned products and tuning scopes while thread
+/// B, with no override, keeps computing the same product: B must get
+/// the default backend's bits and the default tuning on every
+/// iteration. Skipped where the default backend already is scalar,
+/// because a leak would then not change a bit.
+#[test]
+fn overrides_on_one_thread_never_reach_another() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use swim_tensor::simd::{backend, detected_backend};
+    use swim_tensor::tune::{self, with_tuning, KernelTuning};
+
+    if detected_backend() == Backend::Scalar || backend() == Backend::Scalar {
+        eprintln!("skipped: the default backend is scalar on this host");
+        return;
+    }
+    let mut rng = Prng::seed_from_u64(61);
+    let a = Tensor::randn(&[24, 96], &mut rng);
+    let b = Tensor::randn(&[96, 40], &mut rng);
+    let scalar = bits32(with_backend(Backend::Scalar, || matmul(&a, &b)).unwrap().data());
+    let default = bits32(matmul(&a, &b).data());
+    assert_ne!(scalar, default, "the test needs products that differ between the two backends");
+    let tuning = tune::current();
+    let scoped = KernelTuning { gemm_block_cols: 96, gemm_min_flops: 12_345, ..tuning.clone() };
+
+    /// Stops thread B when thread A ends, also when A panics.
+    struct SetOnDrop<'a>(&'a AtomicBool);
+    impl Drop for SetOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _stop = SetOnDrop(&done);
+            for _ in 0..300 {
+                let got = with_backend(Backend::Scalar, || bits32(matmul(&a, &b).data())).unwrap();
+                assert_eq!(got, scalar, "thread A: the scalar override did not hold");
+                with_tuning(&scoped, || assert_eq!(tune::current(), scoped));
+            }
+        });
+        scope.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                assert_eq!(bits32(matmul(&a, &b).data()), default, "thread B saw A's backend");
+                assert_eq!(tune::current(), tuning, "thread B saw A's tuning");
+            }
+        });
+    });
+}
