@@ -14,8 +14,8 @@
 //! measured medians as a JSON snapshot; `--baseline FILE` compares this
 //! run against a snapshot and exits 1 when any shared entry regressed
 //! by more than 30% (the committed `BENCH_sweep.json` is the CI
-//! baseline for the `sweep`, `gemm_transposed`, `simd`, `autotune` and
-//! `conv` groups).
+//! baseline for the `sweep`, `gemm_transposed`, `simd` and `conv`
+//! groups).
 //!
 //! Groups:
 //!
@@ -35,10 +35,7 @@
 //! * `simd` — GEMM 256³ and the elementwise kernels per SIMD backend
 //!   this host supports, with vector-vs-scalar speedups;
 //! * `thread_threshold` — serial vs 2-thread crossover around
-//!   `PARALLEL_MIN_FLOPS` (tune with `SWIM_TUNE_MIN_FLOPS`);
-//! * `autotune` — the hand-tuned default GEMM plan vs the shape-keyed
-//!   autotuned plan (`SWIM_TUNE=on`), asserting the tuner never loses
-//!   more than the 30% bench guard and never changes result bytes.
+//!   `PARALLEL_MIN_FLOPS` (pin another with `SWIM_TUNE_MIN_FLOPS`).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -152,7 +149,7 @@ impl Harness {
             "note",
             Value::Str(format!(
                 "built-in defaults measured on host {}; nproc={}, gemm threads={}",
-                swim_tensor::tune::host_fingerprint(),
+                host_description(),
                 swim_tensor::tune::detected_parallelism(),
                 swim_tensor::linalg::gemm_threads()
             )),
@@ -216,6 +213,22 @@ impl Harness {
             false
         }
     }
+}
+
+/// The host a snapshot was measured on: CPU brand, the SIMD backends it
+/// supports, and its core count (e.g.
+/// `Intel(R) Xeon(R) Processor|avx512+avx2+scalar|2cores`).
+fn host_description() -> String {
+    let text = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let brand = text
+        .lines()
+        .filter_map(|line| line.split_once(':'))
+        .find(|(key, _)| key.trim() == "model name")
+        .map(|(_, value)| value.split_whitespace().collect::<Vec<_>>().join(" "))
+        .unwrap_or_else(|| std::env::consts::ARCH.to_string());
+    let backends: Vec<&str> =
+        swim_tensor::simd::available_backends().iter().map(|b| b.name()).collect();
+    format!("{brand}|{}|{}cores", backends.join("+"), swim_tensor::tune::detected_parallelism())
 }
 
 fn format_duration(d: Duration) -> String {
@@ -504,64 +517,6 @@ fn bench_thread_threshold(h: &mut Harness) {
     }
 }
 
-/// The autotune acceptance guard: on the canonical 256³ shape the
-/// shape-keyed tuned plan must not lose to the hand-tuned heuristic by
-/// more than the bench's 30% margin, and it must leave the result
-/// bytes untouched — the two halves of the "timing-only" contract. The
-/// one-time candidate sweep runs outside the measured region, matching
-/// how a real run amortizes it across the whole sweep.
-fn bench_autotune(h: &mut Harness) {
-    use swim_tensor::tune::TuneMode;
-    h.group("autotune (hand-tuned heuristic vs shape-keyed tuned plan)");
-    let mut rng = Prng::seed_from_u64(17);
-    let a = Tensor::randn(&[256, 256], &mut rng);
-    let b = Tensor::randn(&[256, 256], &mut rng);
-
-    let prior = tune::current();
-    let (hand, reference) =
-        with_tuning(&KernelTuning { mode: TuneMode::Off, ..prior.clone() }, || {
-            let hand =
-                h.bench("autotune/gemm_256x256x256/hand_tuned", || matmul_with_threads(&a, &b, 1));
-            (hand, matmul_with_threads(&a, &b, 1))
-        });
-
-    tune::clear_winners();
-    let tuned = with_tuning(&KernelTuning { mode: TuneMode::On, ..prior }, || {
-        black_box(matmul_with_threads(&a, &b, 1)); // pay the candidate sweep here
-        let tuned = h.bench("autotune/gemm_256x256x256/tuned", || matmul_with_threads(&a, &b, 1));
-        assert_eq!(
-            matmul_with_threads(&a, &b, 1).data(),
-            reference.data(),
-            "autotuned plan changed the result bytes"
-        );
-        tuned
-    });
-    for record in tune::choice_records() {
-        println!(
-            "  {:<44} {} ({})",
-            format!("autotune/{}", record.key),
-            record.config,
-            record.source
-        );
-    }
-    tune::clear_winners();
-
-    if let (Some(hand), Some(tuned)) = (hand, tuned) {
-        println!(
-            "  {:<44} tuned {:.2}x vs hand-tuned",
-            "autotune/gemm_256x256x256/speedup",
-            hand.as_secs_f64() / tuned.as_secs_f64().max(1e-12)
-        );
-        assert!(
-            tuned.as_secs_f64() <= hand.as_secs_f64() * 1.30,
-            "autotuned GEMM regressed more than 30% vs the hand-tuned default \
-             ({:?} vs {:?})",
-            tuned,
-            hand
-        );
-    }
-}
-
 fn small_cnn(rng: &mut Prng) -> Network {
     let mut seq = Sequential::new();
     seq.push(Conv2d::new(1, 8, 3, 1, 1, rng));
@@ -669,7 +624,6 @@ fn main() {
     bench_sweep_throughput(&mut h);
     bench_simd(&mut h);
     bench_thread_threshold(&mut h);
-    bench_autotune(&mut h);
 
     println!("\n{} entries measured; slowest:", h.results.len());
     let mut by_time: Vec<&Sample> = h.results.iter().collect();

@@ -10,7 +10,6 @@
 //! swim plot <run.json> [-o plots.txt]
 //! swim summarize <dir-or-file>... [--anchors 0,0.1,1] [-o summary.md]
 //! swim serve [--addr 127.0.0.1:7878] [--workers N] [--queue-cap N]
-//! swim tune [--cache DIR] [--show]
 //! swim list
 //! swim help
 //! ```
@@ -66,8 +65,6 @@ fn usage() {
     println!("  summarize <dir|file>...    aggregate many results documents into one table");
     println!("  serve                      run the HTTP experiment service (job queue,");
     println!("                             shared worker pool, prepared-model cache)");
-    println!("  tune                       pre-warm the kernel autotuner over the standard");
-    println!("                             GEMM shapes (persist with --cache DIR)");
     println!("  list                       list presets, selectors, and device models");
     println!("  help                       this message");
     println!();
@@ -79,10 +76,6 @@ fn usage() {
     println!("  --quick           preset smoke-test shape (presets only)");
     println!("  --runs N / --samples N / --epochs N / --seed N / --threads N");
     println!("                    shorthand spec overrides (same as --set)");
-    println!("  --tune MODE       shape-keyed kernel autotuning: off (default) or on —");
-    println!("                    timing-only, result bytes are identical either way");
-    println!("  --tune-cache DIR  persist tuned winners on disk, keyed by host");
-    println!("                    fingerprint (see docs/autotune.md)");
     println!("  --gemm-threads N  threads inside each matrix product (never in the spec)");
     println!("  --gemm-block N / --gemm-min-flops N");
     println!("                    deprecated kernel-knob aliases (use the spec's [tune]");
@@ -116,15 +109,8 @@ fn usage() {
     println!("  --addr HOST:PORT  listen address (default 127.0.0.1:7878)");
     println!("  --workers N       pool workers (default 0 = one per CPU core)");
     println!("  --queue-cap N     pending-job cap before 429 (default 16)");
-    println!("  --tune MODE / --tune-cache DIR / --gemm-threads N");
-    println!("                    process-default kernel tuning (each job's own [tune]");
+    println!("  --gemm-threads N  process-default GEMM threads (each job's own [tune]");
     println!("                    and [run] simd apply on top, for that job only)");
-    println!();
-    println!("tune flags:");
-    println!("  --cache DIR       adopt DIR as the on-disk winner cache and persist");
-    println!("                    every choice there");
-    println!("  --gemm-threads N  thread budget the tuned shapes are keyed under");
-    println!("  --show            print host fingerprint and cache state, tune nothing");
     println!();
     println!("The results document echoes the spec it ran; `swim run` accepts that");
     println!("echo back, so every result is reproducible from its own output.");
@@ -234,83 +220,12 @@ fn list() {
         println!("  {:<18} {}", backend.name(), status);
     }
     println!();
-    println!("kernel tuning (for [tune] / --tune / SWIM_TUNE; see docs/autotune.md):");
-    use swim_tensor::tune;
-    let t = tune::current();
-    println!(
-        "  mode: {} ({} shape choice(s) cached in-process)",
-        t.mode.name(),
-        tune::choice_records().len()
-    );
-    println!("  host fingerprint: {}", tune::host_fingerprint());
-    match &t.cache_dir {
-        Some(dir) => println!(
-            "  disk cache: {} ({} entry(ies) for this host)",
-            tune::cache_file(dir).display(),
-            tune::disk_entry_count()
-        ),
-        None => println!("  disk cache: none (set SWIM_TUNE_CACHE or pass --tune-cache DIR)"),
-    }
+    println!("kernel pins (for [tune] / SWIM_TUNE_BLOCK / SWIM_TUNE_MIN_FLOPS; 0 = built-in):");
+    let t = swim_tensor::tune::current();
+    println!("  gemm_block: {}", t.gemm_block_cols);
+    println!("  gemm_min_flops: {}", t.gemm_min_flops);
     println!();
     println!("spec kinds: sweep, table1, fig2, fig1, calibration, ablation");
-}
-
-/// `swim tune [--cache DIR] [--gemm-threads N] [--show]` — pre-warm the
-/// shape-keyed kernel autotuner over the standard GEMM shapes so later
-/// runs (or a serve process started with `--tune on --tune-cache DIR`)
-/// hit the cache instead of paying the first-sight timing loop.
-fn cmd_tune(raw: Vec<String>) -> ! {
-    use swim_tensor::tune;
-    let (positionals, rest) = split_positionals(raw, &["show"], &["cache", "gemm-threads"]);
-    if !positionals.is_empty() {
-        fail("`swim tune` takes flags only (see `swim help`)");
-    }
-    let args = match Args::try_parse_from(rest.into_iter()) {
-        Ok(args) => args,
-        Err(e) => fail(&e),
-    };
-    let mut t = tune::KernelTuning::from_env();
-    t.mode = tune::TuneMode::On;
-    if let Some(dir) = args.get("cache") {
-        t.cache_dir = Some(std::path::PathBuf::from(dir));
-    }
-    t.gemm_threads = match args.get_usize("gemm-threads", t.gemm_threads) {
-        Ok(v) => v,
-        Err(e) => fail(&e),
-    };
-    tune::install(&t);
-
-    println!("host: {}", tune::host_fingerprint());
-    match &t.cache_dir {
-        Some(dir) => println!(
-            "cache: {} ({} entry(ies) for this host)",
-            tune::cache_file(dir).display(),
-            tune::disk_entry_count()
-        ),
-        None => println!("cache: none (in-process only; pass --cache DIR to persist winners)"),
-    }
-    if args.has("show") {
-        std::process::exit(0);
-    }
-
-    // The warm set: every GEMM entry point over square-ish shapes
-    // spanning the sizes the training/eval paths actually hit. Each
-    // product is above TUNE_MIN_FLOPS, so every call runs the real
-    // candidate sweep (or adopts a previously persisted winner).
-    let backend = swim_tensor::simd::backend().name();
-    println!("autotuning standard GEMM shapes (backend `{backend}`)...");
-    for kind in [tune::GemmKind::MM, tune::GemmKind::AT, tune::GemmKind::BT] {
-        for &(m, k, n) in &[(256usize, 256usize, 256usize), (128, 1152, 784), (512, 256, 128)] {
-            tune::gemm_plan(kind, m, k, n, 0);
-        }
-    }
-    for rec in tune::choice_records() {
-        println!("  {:<34} {:<26} {}", rec.key, rec.config, rec.source);
-    }
-    if t.cache_dir.is_some() {
-        println!("persisted {} winner(s) to the cache", tune::disk_entry_count());
-    }
-    std::process::exit(0);
 }
 
 fn run_with(mut spec: ExperimentSpec, sets: &[String], args: &Args) -> ! {
@@ -583,6 +498,13 @@ fn main() {
         std::process::exit(2);
     }
     let command = raw.remove(0);
+    // A malformed SWIM_SIMD / SWIM_TUNE_* value is a usage error, not a
+    // panic at the first kernel call.
+    if !matches!(command.as_str(), "help" | "--help" | "-h") {
+        if let Err(e) = swim_tensor::tune::init_from_env() {
+            fail(&e);
+        }
+    }
     match command.as_str() {
         "help" | "--help" | "-h" => usage(),
         "list" => {
@@ -625,7 +547,6 @@ fn main() {
         }
         "merge" => cmd_merge(raw),
         "diff" => cmd_diff(raw),
-        "tune" => cmd_tune(raw),
         "report" => cmd_report(raw),
         "plot" => cmd_plot(raw),
         "summarize" => cmd_summarize(raw),
@@ -633,16 +554,7 @@ fn main() {
             let (positionals, rest) = split_positionals(
                 raw,
                 &[],
-                &[
-                    "addr",
-                    "workers",
-                    "queue-cap",
-                    "tune",
-                    "tune-cache",
-                    "gemm-threads",
-                    "gemm-block",
-                    "gemm-min-flops",
-                ],
+                &["addr", "workers", "queue-cap", "gemm-threads", "gemm-block", "gemm-min-flops"],
             );
             if !positionals.is_empty() {
                 fail("`swim serve` takes flags only (see `swim help`)");

@@ -147,10 +147,6 @@ pub fn common_help_text(binary: &str, extra: &[(&str, &str)]) -> String {
     line(format!("usage: cargo run --release -p swim-bench --bin {binary} [flags]"));
     line("  --runs N      Monte Carlo runs (default varies; paper used 3000)".into());
     line("  --threads N   Monte Carlo worker threads (default: all cores)".into());
-    line("  --tune MODE   shape-keyed kernel autotuning: off (default) or on;".into());
-    line("                timing-only — result bytes are identical either way".into());
-    line("  --tune-cache DIR  persist tuned winners on disk, keyed by host".into());
-    line("                fingerprint (see docs/autotune.md)".into());
     line("  --gemm-threads N  threads inside each matrix product (default: 1 when".into());
     line("                the Monte Carlo level is already parallel, else all cores)".into());
     line("  --gemm-block N    [deprecated: use [tune] / SWIM_TUNE_BLOCK] GEMM".into());
@@ -177,11 +173,10 @@ pub fn print_common_help(binary: &str, extra: &[(&str, &str)]) {
     print!("{}", common_help_text(binary, extra));
 }
 
-/// Resolves the kernel-tuning configuration from the environment and
-/// the command line — the env and CLI layers of the precedence chain
-/// (spec `[tune]` > CLI flags > environment > built-in default; the
-/// spec layer is overlaid by the experiment engine, which runs inside
-/// the result).
+/// Resolves the kernel pins from the environment and the command line —
+/// the env and CLI layers of the precedence chain (spec `[tune]` > CLI
+/// flags > environment > built-in default; the spec layer is overlaid
+/// by the experiment engine, which runs inside the result).
 ///
 /// The two parallelism levels compete for the same cores: when the
 /// Monte Carlo harness already fans `mc_threads` workers out, nested
@@ -198,8 +193,7 @@ pub fn tuning_from_flags(
     args: &Args,
     mc_threads: usize,
 ) -> Result<swim_tensor::tune::KernelTuning, String> {
-    use swim_tensor::tune::TuneMode;
-    let mut t = swim_tensor::tune::KernelTuning::from_env();
+    let mut t = swim_tensor::tune::KernelTuning::from_env()?;
     t.gemm_threads = args.get_usize("gemm-threads", if mc_threads > 1 { 1 } else { 0 })?;
     if args.get("gemm-block").is_some() {
         eprintln!(
@@ -214,13 +208,6 @@ pub fn tuning_from_flags(
              `--set tune.gemm_min_flops=N`, the spec's [tune] section, or SWIM_TUNE_MIN_FLOPS"
         );
         t.gemm_min_flops = args.get_usize("gemm-min-flops", 0)?;
-    }
-    if let Some(mode) = args.get("tune") {
-        t.mode = TuneMode::parse(mode)
-            .ok_or_else(|| format!("--tune expects `off` or `on`, got `{mode}`"))?;
-    }
-    if let Some(dir) = args.get("tune-cache") {
-        t.cache_dir = Some(std::path::PathBuf::from(dir));
     }
     Ok(t)
 }
@@ -307,29 +294,17 @@ mod tests {
 
     #[test]
     fn tuning_flags_resolve_into_kernel_tuning() {
-        use swim_tensor::tune::TuneMode;
-        let args = parse(&[
-            "--tune",
-            "on",
-            "--tune-cache",
-            "/tmp/swim-tune-test",
-            "--gemm-block",
-            "128",
-            "--gemm-threads",
-            "3",
-        ]);
+        let args = parse(&["--gemm-block", "128", "--gemm-threads", "3"]);
         let t = tuning_from_flags(&args, 1).unwrap();
-        assert_eq!(t.mode, TuneMode::On);
-        assert_eq!(t.cache_dir.as_deref(), Some(std::path::Path::new("/tmp/swim-tune-test")));
         assert_eq!(t.gemm_block_cols, 128, "deprecated alias still honored");
         assert_eq!(t.gemm_threads, 3);
         // Defaults: serial GEMM under a parallel Monte Carlo level,
         // every core otherwise.
         assert_eq!(tuning_from_flags(&parse(&[]), 8).unwrap().gemm_threads, 1);
         assert_eq!(tuning_from_flags(&parse(&[]), 1).unwrap().gemm_threads, 0);
-        // A misspelled mode errors instead of silently tuning.
-        let e = tuning_from_flags(&parse(&["--tune", "fast"]), 1).unwrap_err();
-        assert!(e.contains("--tune"), "{e}");
+        // A malformed pin errors instead of silently falling back.
+        let e = tuning_from_flags(&parse(&["--gemm-threads", "many"]), 1).unwrap_err();
+        assert!(e.contains("--gemm-threads"), "{e}");
     }
 
     #[test]

@@ -381,17 +381,11 @@ pub(crate) fn tuning_with_spec(
     spec: &ExperimentSpec,
 ) -> tune::KernelTuning {
     let mut t = base.clone();
-    if let Some(mode) = &spec.tune.mode {
-        t.mode = tune::TuneMode::parse(mode).expect("validated spec has a known tune mode");
-    }
     if let Some(b) = spec.tune.gemm_block {
         t.gemm_block_cols = b;
     }
     if let Some(f) = spec.tune.gemm_min_flops {
         t.gemm_min_flops = f;
-    }
-    if let Some(c) = spec.tune.im2col_cap {
-        t.im2col_cap_elems = c;
     }
     t
 }
@@ -1010,16 +1004,8 @@ fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Colle
 
 /// Flags that configure output or kernels rather than the experiment —
 /// never forwarded into the spec.
-const NON_SPEC_FLAGS: &[&str] = &[
-    "gemm-threads",
-    "gemm-block",
-    "gemm-min-flops",
-    "tune",
-    "tune-cache",
-    "out",
-    "checkpoint",
-    "resume",
-];
+const NON_SPEC_FLAGS: &[&str] =
+    &["gemm-threads", "gemm-block", "gemm-min-flops", "out", "checkpoint", "resume"];
 
 /// Boolean flags the wrappers understand; anything else is a typo.
 const KNOWN_BOOL_FLAGS: &[&str] = &["quick", "csv", "full", "help"];
@@ -1051,9 +1037,7 @@ pub fn apply_flag_overrides(spec: &mut ExperimentSpec, args: &Args) -> Result<()
 }
 
 /// Resolves output options and the env/CLI tuning layers for a spec
-/// (the spec's own `[tune]` section is overlaid later, by [`run_spec`]),
-/// and points the process-level winner cache at `--tune-cache DIR` when
-/// one is given.
+/// (the spec's own `[tune]` section is overlaid later, by [`run_spec`]).
 pub fn options_from_args(spec: &ExperimentSpec, args: &Args) -> Result<RunOptions, String> {
     // Single-run artifacts (no Monte Carlo fan-out during the heavy
     // phases) let the matrix kernels use every core.
@@ -1062,9 +1046,6 @@ pub fn options_from_args(spec: &ExperimentSpec, args: &Args) -> Result<RunOption
         _ => spec.threads(),
     };
     let tuning = tuning_from_flags(args, mc_threads)?;
-    if args.get("tune-cache").is_some() {
-        tune::set_cache_dir(tuning.cache_dir.as_deref());
-    }
     Ok(RunOptions {
         csv: args.has("csv") || args.has("full"),
         out: args.get("out").map(std::path::PathBuf::from),
@@ -1078,6 +1059,10 @@ pub fn options_from_args(spec: &ExperimentSpec, args: &Args) -> Result<RunOption
 /// preset, apply CLI flags as spec overrides, run.
 pub fn preset_bin_main(preset_name: &str, help_binary: &str, extra_help: &[(&str, &str)]) {
     let args = Args::parse();
+    if let Err(e) = tune::init_from_env() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     if args.has("help") {
         print_common_help(help_binary, extra_help);
         return;

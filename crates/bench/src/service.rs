@@ -15,8 +15,8 @@
 //! 2. **The prepared-model cache.** Preparation (train → quantize →
 //!    sensitivities) is the expensive, highly shareable stage. It is
 //!    keyed by [`ExperimentSpec::prep_fingerprint`] — the canonical hash
-//!    of the training prefix (seed, SIMD backend, tune mode, scenario,
-//!    training budget), which excludes the device — so every block of a
+//!    of the training prefix (seed, SIMD backend, scenario, training
+//!    budget), which excludes the device — so every block of a
 //!    job, and every later job with the same prefix, rebinds a copy of
 //!    one entry to its own `(device model, sigma)`. Each key holds a
 //!    `OnceLock`: concurrent blocks asking for a missing key wait for

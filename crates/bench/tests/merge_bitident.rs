@@ -139,3 +139,35 @@ proptest! {
         prop_assert_eq!(merged.to_json(), full.to_json());
     }
 }
+
+/// Shards written while the program still had an autotuner (tuning
+/// mode `on`, one recorded choice) still merge: the merged document
+/// carries their common tuning block and the committed payload bytes.
+#[test]
+fn autotuned_shard_documents_still_merge() {
+    use swim_report::schema::{TuningChoiceDoc, TuningDoc};
+    let tuning = TuningDoc {
+        mode: "on".into(),
+        choices: vec![TuningChoiceDoc {
+            key: "gemm-mm:256x256x256:scalar:t1".into(),
+            config: "block=128 workers=1".into(),
+            source: "disk-cache".into(),
+        }],
+        ..TuningDoc::default()
+    };
+    let dir = fixture_dir();
+    let shards: Vec<(String, ResultsDoc)> = (0..2)
+        .map(|i| {
+            let path = dir.join(format!("shard_{i}.json"));
+            let mut doc = ResultsDoc::load(&path).unwrap();
+            doc.tuning = tuning.clone();
+            let doc = ResultsDoc::parse_str(&doc.to_json()).expect("an autotuned shard parses");
+            (path.display().to_string(), doc)
+        })
+        .collect();
+    let mut merged = merge_docs(&shards).unwrap();
+    assert_eq!(merged.tuning, tuning);
+    merged.tuning = TuningDoc::default();
+    let expected = std::fs::read_to_string(dir.join("merged.json")).unwrap();
+    assert_eq!(merged.to_json(), expected);
+}

@@ -295,3 +295,30 @@ fn scalar_pinned_job_served_beside_an_unpinned_one() {
         "scalar-pinned served document differs from `swim run` under a scalar backend"
     );
 }
+
+/// A job's own `[tune]` pins hold for that job: the engine runs it
+/// under `tune.gemm_block = 96` over an unpinned engine policy, records
+/// the pin, and serves the bytes `run_spec` writes for the same spec.
+#[test]
+fn job_tune_pins_hold_and_match_run_spec() {
+    let pinned_text =
+        SPEC.replace("[montecarlo]", "[tune]\nmode = \"off\"\ngemm_block = 96\n\n[montecarlo]");
+    let spec = ExperimentSpec::parse_str(&pinned_text).expect("pinned spec parses");
+    let args = Args::try_parse_from(std::iter::empty::<String>()).expect("empty args");
+    let opts = options_from_args(&spec, &args).expect("run options");
+    let direct = run_spec(&spec, &opts).expect("reference run");
+    assert_eq!(direct.tuning.gemm_block_cols, 96);
+
+    let engine = ServiceEngine::new(opts.tuning.gemm_threads, 0);
+    engine.validate(&spec).expect("a job's own [tune] section is accepted");
+    let payloads = engine
+        .grid(&spec)
+        .iter()
+        .map(|(model, sigma)| engine.run_block(&spec, model, *sigma).expect("block").payload)
+        .collect();
+    let served = engine.assemble(&spec, payloads, 0.0).expect("assembly");
+    let served_doc = ResultsDoc::parse_str(&served).expect("served document parses");
+    assert_eq!(served_doc.tuning.gemm_block_cols, 96);
+    assert_eq!(served_doc.tuning.mode, "off");
+    assert_eq!(normalized(&served), normalized(&direct.to_json()), "served ≠ run_spec");
+}

@@ -475,3 +475,84 @@ fn two_sigma_table1_prints_header_blocks_and_trailer_in_order() {
     assert!(header[0] < runs[0] && runs[0] < blocks[0], "{stdout}");
     assert!(blocks[1] < trailer[0] && trailer[0] == lines.len() - 2, "{stdout}");
 }
+
+/// Runs `swim` with one environment variable set.
+fn swim_with_env(var: &str, value: &str, args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_swim"))
+        .args(args)
+        .env(var, value)
+        .output()
+        .expect("swim binary runs")
+}
+
+/// Asserts a usage error: exit 2, an `error:` line naming `needle`, and
+/// no panic backtrace.
+fn assert_usage_error(out: &std::process::Output, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error:") && stderr.contains(needle), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn malformed_swim_simd_exits_two_without_panicking() {
+    assert_usage_error(&swim_with_env("SWIM_SIMD", "bogus", &["list"]), "SWIM_SIMD=bogus");
+}
+
+#[test]
+fn malformed_swim_tune_block_exits_two_without_panicking() {
+    let out = swim_with_env("SWIM_TUNE_BLOCK", "abc", &["preset", "table1", "--quick"]);
+    assert_usage_error(&out, "SWIM_TUNE_BLOCK");
+}
+
+#[test]
+fn malformed_swim_tune_min_flops_exits_two_without_panicking() {
+    let dir = tempdir("swim-bad-min-flops");
+    let spec = dir.join("spec.toml");
+    std::fs::write(&spec, TWO_BLOCK_SPEC).unwrap();
+    let out = swim_with_env("SWIM_TUNE_MIN_FLOPS", "-1", &["run", spec.to_str().unwrap()]);
+    assert_usage_error(&out, "SWIM_TUNE_MIN_FLOPS");
+}
+
+/// There is no autotuner to switch on: `--set tune=on` (and the former
+/// `--tune on` flag, now a spec override like any other) is refused,
+/// and the message points at the pins that remain.
+#[test]
+fn tune_on_is_refused_with_a_pointer_to_the_pins() {
+    for flag in [["--set", "tune=on"], ["--tune", "on"]] {
+        let out = swim(&["preset", "table1", "--quick", flag[0], flag[1]]);
+        assert_usage_error(&out, "tune.gemm_block");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("tune.gemm_min_flops"));
+    }
+}
+
+/// The pin precedence through the binary: the spec's `[tune]` pin beats
+/// the CLI flag, and a key the spec leaves unset falls through to the
+/// environment.
+#[test]
+fn spec_tune_pins_beat_the_cli_layer() {
+    let dir = tempdir("swim-tune-precedence");
+    let spec = dir.join("spec.toml");
+    std::fs::write(&spec, TWO_BLOCK_SPEC).unwrap();
+    let out_path = dir.join("out.json");
+    let out = swim_with_env(
+        "SWIM_TUNE_MIN_FLOPS",
+        "5",
+        &[
+            "run",
+            spec.to_str().unwrap(),
+            "--gemm-block",
+            "64",
+            "--set",
+            "tune.gemm_block=96",
+            "--out",
+            out_path.to_str().unwrap(),
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let doc = load_normalized(&out_path);
+    assert_eq!(doc.tuning.gemm_block_cols, 96, "the spec pin beats --gemm-block");
+    assert_eq!(doc.tuning.gemm_min_flops, 5, "an unset spec key falls through to the env");
+    assert_eq!(doc.tuning.mode, "off");
+    assert!(doc.tuning.choices.is_empty());
+}

@@ -338,26 +338,23 @@ pub struct RunSpec {
     pub simd: Option<String>,
 }
 
-/// `[tune]`: kernel-tuning policy. Like `[run]` this is not part of the
-/// experiment's mathematical identity: tuning is timing-only by
-/// contract (every candidate config changes speed, never bytes), so two
-/// runs differing only here produce byte-identical results apart from
-/// wall time and the `tuning` provenance section. Spec values take the
-/// highest precedence (spec > CLI flags > environment > on-disk cache >
-/// autotune > built-in default); unset keys fall through to the next
-/// layer. `None`/`0` knobs mean "auto" exactly like the
+/// `[tune]`: kernel pins. Like `[run]` this is not part of the
+/// experiment's mathematical identity: every knob changes speed, never
+/// bytes, so two runs differing only here produce byte-identical
+/// results apart from wall time and the `tuning` provenance section.
+/// Spec values take the highest precedence (spec > CLI flags >
+/// environment > built-in default); unset keys fall through to the next
+/// layer. `0` knobs mean "the built-in default" exactly like the
 /// [`swim_tensor::tune::KernelTuning`] they resolve into.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TuneSpec {
-    /// Autotune mode (`"off"` or `"on"`). `None` defers to the
-    /// `SWIM_TUNE` environment override, else off.
+    /// Tuning mode; `"off"` is the only legal value (there is no
+    /// autotuner), kept so older specs still parse.
     pub mode: Option<String>,
-    /// Pinned GEMM block width (beats cache and autotuner).
+    /// Pinned GEMM block width.
     pub gemm_block: Option<usize>,
     /// Pinned GEMM threading threshold in multiplies.
     pub gemm_min_flops: Option<usize>,
-    /// Pinned im2col scratch cap in `f32` elements.
-    pub im2col_cap: Option<usize>,
 }
 
 impl TuneSpec {
@@ -710,14 +707,13 @@ impl ExperimentSpec {
                     None => None,
                     Some(Value::Str(text)) => Some(text.clone()),
                     Some(_) => {
-                        return Err(err("`tune.mode` must be a string (\"off\" or \"on\")"));
+                        return Err(err("`tune.mode` must be the string \"off\""));
                     }
                 };
                 let out = TuneSpec {
                     mode,
                     gemm_block: s.usize_opt("gemm_block")?,
                     gemm_min_flops: s.usize_opt("gemm_min_flops")?,
-                    im2col_cap: s.usize_opt("im2col_cap")?,
                 };
                 s.finish()?;
                 out
@@ -950,10 +946,11 @@ impl ExperimentSpec {
                 )));
             }
         }
-        if let Some(mode) = &self.tune.mode {
-            if swim_tensor::tune::TuneMode::parse(mode).is_none() {
-                return Err(err(format!("`tune.mode` must be \"off\" or \"on\" (got `{mode}`)")));
-            }
+        if let Some(mode) = self.tune.mode.as_deref().filter(|&m| m != "off") {
+            return Err(err(format!(
+                "`tune.mode` must be \"off\" (got `{mode}`): there is no autotuner; pin the \
+                 kernels with `tune.gemm_block` and `tune.gemm_min_flops`"
+            )));
         }
         for &p in &self.ablation.granularities {
             if !(p > 0.0 && p <= 1.0) {
@@ -1143,9 +1140,6 @@ impl ExperimentSpec {
             if let Some(f) = self.tune.gemm_min_flops {
                 tune.set("gemm_min_flops", Value::Int(f as i64));
             }
-            if let Some(c) = self.tune.im2col_cap {
-                tune.set("im2col_cap", Value::Int(c as i64));
-            }
             root.set("tune", tune);
         }
 
@@ -1199,14 +1193,14 @@ impl ExperimentSpec {
 
     /// The canonical *preparation prefix* of this spec: exactly the
     /// inputs that determine the trained, quantized model and its
-    /// sensitivities — seed, SIMD backend, tune mode (when set),
-    /// scenario and training budget. The device section is excluded:
-    /// training and quantization never read it, and a prepared model is
-    /// rebound to each `(device model, sigma)` block
-    /// (`QuantizedModel::rebind`). Everything downstream (selection
-    /// methods, sweep grid, Monte Carlo budget, sharding) is excluded
-    /// too: two specs that differ only there share preparation work,
-    /// which is what the service's prepared-model cache exploits.
+    /// sensitivities — seed, SIMD backend, scenario and training budget.
+    /// The device section is excluded: training and quantization never
+    /// read it, and a prepared model is rebound to each `(device model,
+    /// sigma)` block (`QuantizedModel::rebind`). The byte-neutral
+    /// `[tune]` pins and everything downstream (selection methods, sweep
+    /// grid, Monte Carlo budget, sharding) are excluded too: two specs
+    /// that differ only there share preparation work, which is what the
+    /// service's prepared-model cache exploits.
     ///
     /// The prefix is a [`Value`] tree with a fixed key order, so its
     /// JSON form is canonical: equal preparation inputs ⇒ byte-equal
@@ -1218,14 +1212,6 @@ impl ExperimentSpec {
         // order differs per SIMD backend — a prepared model is only
         // reusable under the backend that built it.
         root.set("simd", Value::Str(swim_tensor::simd::backend().name().into()));
-        // Tuning is timing-only — a tuned preparation is byte-identical
-        // to a default one — but a non-default `[tune]` section is still
-        // folded in so a cache hit's provenance states the policy the
-        // model was actually prepared under. Default specs write
-        // nothing, keeping pre-tuning fingerprints stable.
-        if let Some(mode) = &self.tune.mode {
-            root.set("tune_mode", Value::Str(mode.clone()));
-        }
 
         let mut scenario = Value::table();
         scenario.set("model", Value::Str(self.scenario.model.key().into()));
@@ -1572,43 +1558,44 @@ mod tests {
 
     #[test]
     fn tune_parses_validates_and_round_trips() {
-        let spec = ExperimentSpec::parse_str("[tune]\nmode = \"on\"\ngemm_block = 256\n").unwrap();
-        assert_eq!(spec.tune.mode.as_deref(), Some("on"));
+        let spec = ExperimentSpec::parse_str("[tune]\nmode = \"off\"\ngemm_block = 256\n").unwrap();
+        assert_eq!(spec.tune.mode.as_deref(), Some("off"));
         assert_eq!(spec.tune.gemm_block, Some(256));
         let again = ExperimentSpec::parse_str(&spec.to_toml()).unwrap();
         assert_eq!(again, spec);
         // Default specs do not echo a [tune] section at all — written
         // documents stay byte-identical to pre-tuning ones.
         assert!(!ExperimentSpec::default().to_toml().contains("[tune]"));
-        // Bad values are rejected with the dotted path.
-        let e = ExperimentSpec::parse_str("[tune]\nmode = \"fast\"\n").unwrap_err();
-        assert!(e.0.contains("tune.mode"), "{e}");
+        // Bad values are rejected with the dotted path. `on` named the
+        // removed autotuner; the refusal points at the pins instead.
+        let e = ExperimentSpec::parse_str("[tune]\nmode = \"on\"\n").unwrap_err();
+        assert!(e.0.contains("tune.mode") && e.0.contains("tune.gemm_block"), "{e}");
         let e = ExperimentSpec::parse_str("[tune]\nmode = 2\n").unwrap_err();
         assert!(e.0.contains("tune.mode"), "{e}");
         let e = ExperimentSpec::parse_str("[tune]\ngemm_block = -3\n").unwrap_err();
         assert!(e.0.contains("tune.gemm_block"), "{e}");
         let e = ExperimentSpec::parse_str("[tune]\nblock = 1\n").unwrap_err();
         assert!(e.0.contains("unknown key `tune.block`"), "{e}");
+        // The inert im2col cap is gone from the spec.
+        let e = ExperimentSpec::parse_str("[tune]\nim2col_cap = 1\n").unwrap_err();
+        assert!(e.0.contains("unknown key `tune.im2col_cap`"), "{e}");
         // The bare `tune` shorthand addresses the mode.
         let mut spec = ExperimentSpec::default();
-        spec.apply_set("tune=on").unwrap();
-        assert_eq!(spec.tune.mode.as_deref(), Some("on"));
-        assert!(spec.apply_set("tune=sometimes").is_err());
+        spec.apply_set("tune=off").unwrap();
+        assert_eq!(spec.tune.mode.as_deref(), Some("off"));
+        assert!(spec.apply_set("tune=on").is_err());
     }
 
     #[test]
-    fn tune_mode_moves_prep_fingerprint_only_when_set() {
+    fn tune_section_leaves_prep_fingerprint_alone() {
+        // Every `[tune]` key is byte-neutral, so a pinned spec shares
+        // the default spec's prepared model.
         let base = ExperimentSpec::default();
-        let fp = base.prep_fingerprint();
-        // Timing-only knobs without a mode stay on the base fingerprint
-        // path only when the whole section is default; an explicit mode
-        // separates the cache entry for provenance attribution.
-        let mut tuned = base.clone();
-        tuned.apply_set("tune=on").unwrap();
-        assert_ne!(tuned.prep_fingerprint(), fp);
-        let mut off = base.clone();
-        off.apply_set("tune=off").unwrap();
-        assert_ne!(off.prep_fingerprint(), fp, "explicit off is a pin");
+        let mut pinned = base.clone();
+        pinned.apply_set("tune=off").unwrap();
+        pinned.apply_set("tune.gemm_block=96").unwrap();
+        pinned.apply_set("tune.gemm_min_flops=1").unwrap();
+        assert_eq!(pinned.prep_fingerprint(), base.prep_fingerprint());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::param::{Param, ParamKind};
 use swim_tensor::conv::{
     conv_forward_into, conv_input_grad_accumulate, conv_weight_grad_into, ConvGeometry,
 };
-use swim_tensor::tune::{self, GemmKind, KernelConfig};
+use swim_tensor::tune::{self, KernelConfig};
 use swim_tensor::{Prng, Tensor};
 
 /// Bound, in `f32` elements (4 MiB), on the weight-gradient tiles a
@@ -126,7 +126,7 @@ impl Conv2d {
         let (spatial, nf) = (geom.col_rows(), self.out_channels);
         out.reset_zeroed(&[n, nf, geom.out_h(), geom.out_w()]);
         // The [F, C, k, k] weight tensor is already the [F, CK²] matrix.
-        let plan = tune::gemm_plan(GemmKind::BT, nf, geom.col_cols(), n * spatial, 0);
+        let plan = tune::gemm_plan(nf, geom.col_cols(), n * spatial, 0);
         let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
         let images = input.data().chunks_exact(self.in_channels * h * w);
         let jobs = out.data_mut().chunks_exact_mut(nf * spatial).zip(images);
@@ -183,7 +183,7 @@ impl Conv2d {
             }
         }
 
-        let plan = tune::gemm_plan(GemmKind::MM, n * spatial, nf, ck2, 0);
+        let plan = tune::gemm_plan(n * spatial, nf, ck2, 0);
         let workers = plan.workers.min(n).max(1);
         let tile_len = nf * ck2;
         let group = if workers > 1 { (TILE_GROUP_ELEMS / tile_len).max(workers) } else { 1 };

@@ -38,7 +38,7 @@ pub struct DiffOptions {
     /// diffs).
     pub ignore_spec: bool,
     /// Skip the kernel-tuning provenance comparison (deliberate
-    /// autotuned-vs-default comparisons; tuning is timing-only, so the
+    /// comparisons across kernel pins; the pins are timing-only, so the
     /// numeric payload must still agree).
     pub ignore_tuning: bool,
 }
@@ -179,7 +179,7 @@ pub fn diff_docs(a: &ResultsDoc, b: &ResultsDoc, opts: &DiffOptions) -> DiffRepo
     // tuning is timing-only, so two runs that differ *only* here must
     // still produce identical payloads — but the config drift itself
     // is worth flagging structurally (suppressible for deliberate
-    // autotuned-vs-default comparisons).
+    // comparisons across kernel pins).
     if !opts.ignore_tuning && a.tuning != b.tuning {
         cmp.report.structure.push(DiffEntry::new(
             "tuning",
@@ -709,8 +709,8 @@ mod tests {
     }
 
     /// A tuning-config difference is structural (never drift — tuning
-    /// is timing-only) and suppressible with `--ignore-tuning` so the
-    /// autotune byte-identity check can compare the payloads alone.
+    /// is timing-only) and suppressible with `--ignore-tuning`, also
+    /// against an older document written with the autotuner on.
     #[test]
     fn tuning_difference_is_structural_and_suppressible() {
         use crate::schema::{TuningChoiceDoc, TuningDoc};

@@ -197,7 +197,8 @@ pub struct RawSweepDoc {
     pub insitu_runs: Vec<Vec<(f64, f64)>>,
 }
 
-/// One shape-keyed kernel-config decision recorded by the autotuner.
+/// One shape-keyed kernel-config decision, as documents written while
+/// the program still had an autotuner recorded it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuningChoiceDoc {
     /// Rendered tune key (kernel, shape, SIMD backend, thread count).
@@ -208,55 +209,47 @@ pub struct TuningChoiceDoc {
     pub source: String,
 }
 
-/// Kernel-tuning provenance: the *requested* tuning configuration
-/// (mode and pins exactly as resolved from spec/CLI/env — `0` means
-/// "auto", never a host-resolved value, so documents stay byte-stable
-/// across hosts) plus every shape-keyed choice the tuner made during
-/// the run. Tuning is timing-only — it can never change result bytes —
-/// so this block is attribution, not part of the numeric payload;
-/// `swim diff` reports tuning differences structurally.
+/// Kernel-tuning provenance: the *requested* kernel pins exactly as
+/// resolved from spec/CLI/env (`0` means "built-in default", never a
+/// host-resolved value, so documents stay byte-stable across hosts).
+/// The pins are timing-only — they can never change result bytes — so
+/// this block is attribution, not part of the numeric payload; `swim
+/// diff` reports tuning differences structurally.
+///
+/// New documents always record mode `off`, an `im2col_cap_elems` of `0`
+/// and no choices. Older documents written with the autotuner on still
+/// read, with their mode `on` and the shape-keyed choices it made.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuningDoc {
-    /// Tuning mode the run executed under (`off` or `on`).
+    /// Tuning mode the run executed under (`off`; `on` in older
+    /// documents).
     pub mode: String,
-    /// Requested GEMM block-width pin (`0` = heuristic / autotuned).
+    /// Requested GEMM block-width pin (`0` = heuristic).
     pub gemm_block_cols: usize,
     /// Requested threading-threshold pin in multiplies (`0` = default).
     pub gemm_min_flops: usize,
-    /// Requested im2col scratch-cap pin in elements (`0` = default).
+    /// The former im2col scratch-cap pin; `0` in new documents.
     pub im2col_cap_elems: usize,
-    /// The tuner's shape-keyed decisions, sorted by key. Empty when
-    /// the mode is `off`.
+    /// An older document's autotuner decisions, sorted by key. Empty
+    /// when the mode is `off`.
     pub choices: Vec<TuningChoiceDoc>,
 }
 
 impl TuningDoc {
-    /// Captures the calling thread's tuning config and (when tuning is
-    /// on) the winner cache as it stands.
+    /// Captures the calling thread's kernel pins.
     pub fn capture() -> TuningDoc {
-        use swim_tensor::tune;
-        let t = tune::current();
-        let choices = if t.mode == tune::TuneMode::On {
-            tune::choice_records()
-                .into_iter()
-                .map(|r| TuningChoiceDoc { key: r.key, config: r.config, source: r.source })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let t = swim_tensor::tune::current();
         TuningDoc {
-            mode: t.mode.name().to_string(),
             gemm_block_cols: t.gemm_block_cols,
             gemm_min_flops: t.gemm_min_flops,
-            im2col_cap_elems: t.im2col_cap_elems,
-            choices,
+            ..TuningDoc::default()
         }
     }
 }
 
 impl Default for TuningDoc {
-    /// The forced-default configuration: tuning off, nothing pinned,
-    /// no choices.
+    /// The default configuration: mode off, nothing pinned, no
+    /// choices.
     fn default() -> Self {
         TuningDoc {
             mode: swim_tensor::tune::TuneMode::Off.name().to_string(),
@@ -532,7 +525,6 @@ impl ResultsDoc {
         let tune_pins = [
             ("gemm_block", spec.tune.gemm_block, tuning.gemm_block_cols, "gemm_block_cols"),
             ("gemm_min_flops", spec.tune.gemm_min_flops, tuning.gemm_min_flops, "gemm_min_flops"),
-            ("im2col_cap", spec.tune.im2col_cap, tuning.im2col_cap_elems, "im2col_cap_elems"),
         ];
         for (spec_key, requested, recorded, doc_key) in tune_pins {
             if let Some(requested) = requested {
@@ -701,7 +693,7 @@ fn tuning_to_value(tuning: &TuningDoc) -> Value {
 fn tuning_from_value(path: &str, value: &Value) -> Result<TuningDoc, SchemaError> {
     let mut r = Reader::new(path, value)?;
     let mode = r.string_req("mode")?;
-    if swim_tensor::tune::TuneMode::parse(&mode).is_none() {
+    if !matches!(mode.as_str(), "off" | "on") {
         return Err(err(format!("unknown tuning mode `{mode}` in `{path}.mode`")));
     }
     let gemm_block_cols = r.u64_req("gemm_block_cols")? as usize;
@@ -730,7 +722,7 @@ fn tuning_from_value(path: &str, value: &Value) -> Result<TuningDoc, SchemaError
     r.finish()?;
     // Tuning off means no decisions were made; a document claiming
     // otherwise is corrupt.
-    if mode == swim_tensor::tune::TuneMode::Off.name() && !choices.is_empty() {
+    if mode == "off" && !choices.is_empty() {
         return Err(err(format!(
             "`{path}` has mode `off` but records {} tuner choice(s)",
             choices.len()
@@ -1261,6 +1253,8 @@ mod tests {
 
     #[test]
     fn tuning_block_round_trips() {
+        // An older document, written with the autotuner on, still reads
+        // and writes back unchanged.
         let mut doc = sample_doc();
         doc.tuning = TuningDoc {
             mode: "on".into(),
@@ -1276,6 +1270,23 @@ mod tests {
         let back = ResultsDoc::parse_str(&doc.to_json()).unwrap();
         assert_eq!(back, doc);
         assert_eq!(back.tuning.choices[0].source, "autotune");
+    }
+
+    #[test]
+    fn capture_records_the_pins_under_mode_off() {
+        use swim_tensor::tune::{with_tuning, KernelTuning};
+        let t = KernelTuning {
+            gemm_block_cols: 96,
+            gemm_min_flops: 7,
+            im2col_cap_elems: 5,
+            ..Default::default()
+        };
+        let captured = with_tuning(&t, TuningDoc::capture);
+        let want = TuningDoc { gemm_block_cols: 96, gemm_min_flops: 7, ..TuningDoc::default() };
+        assert_eq!(captured, want);
+        assert_eq!(want.mode, "off");
+        assert_eq!(want.im2col_cap_elems, 0);
+        assert!(want.choices.is_empty());
     }
 
     #[test]
@@ -1306,15 +1317,14 @@ mod tests {
 
     #[test]
     fn rejects_tuning_contradicting_spec_echo() {
-        // The spec echo pins `tune.mode = "on"`, the document header
-        // says the run executed with tuning off.
+        // The spec echo pins `tune.mode = "off"`, the document header
+        // says the run executed with tuning on.
         let mut doc = sample_doc();
-        doc.spec.tune.mode = Some("on".into());
-        doc.tuning.mode = "on".into();
+        doc.spec.tune.mode = Some("off".into());
         let good = ResultsDoc::parse_str(&doc.to_json()).unwrap();
-        assert_eq!(good.tuning.mode, "on");
+        assert_eq!(good.tuning.mode, "off");
 
-        doc.tuning.mode = "off".into();
+        doc.tuning.mode = "on".into();
         let e = ResultsDoc::parse_str(&doc.to_json()).unwrap_err();
         assert!(e.0.contains("contradicts its spec echo's `tune.mode`"), "{e}");
 

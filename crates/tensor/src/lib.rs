@@ -25,12 +25,10 @@
 //!   for one thread) that the GEMM microkernel and the workspace's
 //!   elementwise hot paths dispatch through.
 //! * [`tune`] — the [`tune::KernelConfig`] every kernel entry resolves
-//!   (a thread's scoped override, else the process default), the
-//!   [`tune::KernelTuning`] knobs in it, and the shape-keyed autotuner
-//!   behind every kernel performance knob (GEMM
-//!   threads/blocking/threading threshold), with
-//!   an optional host-fingerprinted on-disk winner cache. Timing-only by
-//!   contract: tuning never changes result bytes.
+//!   (a thread's scoped override, else the process default) and the
+//!   [`tune::KernelTuning`] knobs in it: GEMM threads, block width and
+//!   threading threshold, each an explicit pin or the built-in
+//!   heuristic. Timing-only by contract: no knob changes result bytes.
 //!
 //! # Example
 //!

@@ -43,7 +43,7 @@
 
 use crate::simd::{self, Backend};
 use crate::tensor::Tensor;
-use crate::tune::{self, GemmKind, GemmPlan};
+use crate::tune::{self, GemmPlan};
 
 /// Rows per microkernel register tile.
 pub const MR: usize = 4;
@@ -57,11 +57,9 @@ pub const NR: usize = 32;
 /// worker threads (~15–40 µs per spawn on the benchmarked hosts) against
 /// the kernel's single-core throughput (several GFLOP/s): at `2²²`
 /// multiplies a serial product runs ≈1 ms, so the fixed threading cost
-/// stays in the low single-digit percents. Re-measured 2026-08 (see
-/// `BENCH_sweep.json`'s `autotune` group and `docs/autotune.md`): still
-/// the best fixed threshold on the measured hosts, and under
-/// `tune.mode = on` the autotuner refines the serial/threaded decision
-/// per shape anyway.
+/// stays in the low single-digit percents. Re-measured 2026-08: still
+/// the best fixed threshold on the measured hosts. Pin another value
+/// with `tune.gemm_min_flops` or `SWIM_TUNE_MIN_FLOPS`.
 pub const PARALLEL_MIN_FLOPS: usize = 1 << 22;
 
 /// Sets the process default worker-thread count for large matrix
@@ -92,9 +90,8 @@ pub fn set_gemm_block_cols(cols: usize) {
     tune::update_default(|c| c.gemm_block_cols = cols);
 }
 
-/// The effective column-block width for an `m×k · k×n` product under
-/// the pinned/heuristic path (shape-keyed autotuned products may pick a
-/// different width; see [`crate::tune::gemm_plan`]).
+/// The effective column-block width for an `m×k · k×n` product: the
+/// pinned width, else the cache-resident heuristic.
 pub fn gemm_block_cols(k: usize, n: usize) -> usize {
     tune::gemm_block_cols(k, n)
 }
@@ -638,12 +635,10 @@ thread_local! {
 /// setting), written into `out` (`m·n`, fully overwritten).
 ///
 /// The execution plan — worker count and block width, both byte-neutral —
-/// is resolved once per product through [`crate::tune::gemm_plan`]
-/// (pin/heuristic, or the shape-keyed autotune cache when tuning is on)
-/// and passed down, so one GEMM never mixes configs mid-flight.
+/// is resolved once per product through [`crate::tune::gemm_plan`] and
+/// passed down, so one GEMM never mixes configs mid-flight.
 #[allow(clippy::too_many_arguments)]
 fn gemm_strided_into(
-    kind: GemmKind,
     a: &[f32],
     a_strides: Strides,
     b: &[f32],
@@ -662,14 +657,12 @@ fn gemm_strided_into(
         out.fill(0.0); // all-zero by definition; nothing to accumulate
         return;
     }
-    let plan = tune::gemm_plan(kind, m, k, n, threads);
+    let plan = tune::gemm_plan(m, k, n, threads);
     gemm_with_plan(a, a_strides, b, b_strides, m, k, n, plan, out);
 }
 
 /// [`gemm_strided_into`] below the plan resolution: executes one product
-/// under an explicit, already-chosen [`GemmPlan`]. Also the entry the
-/// autotuner's timing loop uses — candidates are forced here directly,
-/// so tuning a shape can never recurse back into the tuner.
+/// under an explicit, already-chosen [`GemmPlan`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_with_plan(
     a: &[f32],
@@ -731,25 +724,6 @@ pub(crate) fn gemm_with_plan(
     });
 }
 
-/// Contiguous `C = A·B` under a forced [`GemmPlan`] — the autotuner's
-/// timing-loop entry (bypasses plan resolution entirely).
-pub(crate) fn gemm_forced(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    plan: GemmPlan,
-    out: &mut [f32],
-) {
-    assert_eq!(out.len(), m * n, "gemm output buffer must hold m·n elements");
-    if m == 0 || n == 0 || k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    gemm_with_plan(a, Strides::contiguous(k), b, Strides::contiguous(n), m, k, n, plan, out);
-}
-
 /// Serial `C = A·B` for a row-major `a` (`m×k`) whose right operand is
 /// never materialized: `pack` writes its NR-wide panels straight into
 /// the thread-local packed-B scratch, which arrives zeroed and sized
@@ -791,18 +765,7 @@ pub(crate) fn gemm_packed_b(
 pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "matmul_into: left operand length");
     assert_eq!(b.len(), k * n, "matmul_into: right operand length");
-    gemm_strided_into(
-        GemmKind::MM,
-        a,
-        Strides::contiguous(k),
-        b,
-        Strides::contiguous(n),
-        m,
-        k,
-        n,
-        0,
-        out,
-    );
+    gemm_strided_into(a, Strides::contiguous(k), b, Strides::contiguous(n), m, k, n, 0, out);
 }
 
 /// `C = Aᵀ·B` on raw slices (`a` stored row-major as `k×m`), written into
@@ -814,18 +777,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
 pub fn matmul_at_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), k * m, "matmul_at_into: left operand length");
     assert_eq!(b.len(), k * n, "matmul_at_into: right operand length");
-    gemm_strided_into(
-        GemmKind::AT,
-        a,
-        Strides::transposed(m),
-        b,
-        Strides::contiguous(n),
-        m,
-        k,
-        n,
-        0,
-        out,
-    );
+    gemm_strided_into(a, Strides::transposed(m), b, Strides::contiguous(n), m, k, n, 0, out);
 }
 
 /// `C = A·Bᵀ` on raw slices (`b` stored row-major as `n×k`), written into
@@ -837,18 +789,7 @@ pub fn matmul_at_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &
 pub fn matmul_bt_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "matmul_bt_into: left operand length");
     assert_eq!(b.len(), n * k, "matmul_bt_into: right operand length");
-    gemm_strided_into(
-        GemmKind::BT,
-        a,
-        Strides::contiguous(k),
-        b,
-        Strides::transposed(k),
-        m,
-        k,
-        n,
-        0,
-        out,
-    );
+    gemm_strided_into(a, Strides::contiguous(k), b, Strides::transposed(k), m, k, n, 0, out);
 }
 
 /// `C = A · B` for rank-2 tensors `A: [m, k]`, `B: [k, n]`.
@@ -961,7 +902,6 @@ pub fn matmul_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
     assert_eq!(k, kb, "matmul: inner dimensions {k} vs {kb}");
     let mut out = vec![0.0f32; m * n];
     gemm_strided_into(
-        GemmKind::MM,
         a.data(),
         Strides::contiguous(k),
         b.data(),

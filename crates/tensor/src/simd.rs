@@ -10,8 +10,8 @@
 //!   (the reference), `avx2` (+FMA), `avx512` (AVX-512F), or `neon`.
 //! * The process default backend is selected **once**, lazily, from
 //!   the `SWIM_SIMD` environment variable if set (`scalar`, `avx2`,
-//!   `avx512`, `neon`; unknown or unsupported values abort with a clear
-//!   message) and otherwise by runtime feature detection in preference
+//!   `avx512`, `neon`; unknown or unsupported values are an error, which
+//!   the `swim` entry points report with exit code 2) and otherwise by runtime feature detection in preference
 //!   order `avx512` > `avx2` > `scalar` on x86-64 and `neon` > `scalar`
 //!   on AArch64. [`with_backend`] overrides it for the calling thread
 //!   only, for the length of a closure (the `--simd` / `[run] simd`
@@ -145,28 +145,30 @@ pub fn available_backends() -> Vec<Backend> {
 /// else the process default.
 ///
 /// The default is read on first use from `SWIM_SIMD` (panicking on
-/// unknown or unsupported values — a silently ignored override would be
-/// worse), falling back to [`detected_backend`]. Hot kernels call this
+/// unknown or unsupported values unless an entry point resolved them
+/// first with [`crate::tune::init_from_env`] — a silently ignored
+/// override would be worse), falling back to [`detected_backend`]. Hot kernels call this
 /// per invocation.
 pub fn backend() -> Backend {
     KernelConfig::current().backend
 }
 
-pub(crate) fn initial_backend() -> Backend {
-    match std::env::var("SWIM_SIMD") {
-        Ok(name) => {
-            let b = Backend::parse(&name).unwrap_or_else(|| {
-                panic!("SWIM_SIMD={name}: unknown backend (expected scalar, avx2, avx512, or neon)")
-            });
-            assert!(
-                b.is_supported(),
-                "SWIM_SIMD={name}: backend not supported on this host (available: {})",
-                available_names()
-            );
-            b
-        }
-        Err(_) => detected_backend(),
+/// The process default backend: `SWIM_SIMD` if set, else
+/// [`detected_backend`]. An unknown or unsupported name is an error.
+pub(crate) fn initial_backend() -> Result<Backend, String> {
+    let Ok(name) = std::env::var("SWIM_SIMD") else {
+        return Ok(detected_backend());
+    };
+    let b = Backend::parse(&name).ok_or_else(|| {
+        format!("SWIM_SIMD={name}: unknown backend (expected scalar, avx2, avx512, or neon)")
+    })?;
+    if !b.is_supported() {
+        return Err(format!(
+            "SWIM_SIMD={name}: backend not supported on this host (available: {})",
+            available_names()
+        ));
     }
+    Ok(b)
 }
 
 fn available_names() -> String {
