@@ -14,8 +14,18 @@
 //! measured medians as a JSON snapshot; `--baseline FILE` compares this
 //! run against a snapshot and exits 1 when any shared entry regressed
 //! by more than 30% (the committed `BENCH_sweep.json` is the CI
-//! baseline for the `sweep`, `gemm_transposed`, `simd` and `conv`
-//! groups).
+//! baseline for the `sweep`, `gemm_transposed`, `simd`, `conv`,
+//! `program` and `eval` groups).
+//!
+//! Every sample of an entry is timed right after a sample of a fixed
+//! in-process reference kernel ([`reference_kernel`]) of about the same
+//! length, in three rounds spread over most of a second. The entry's
+//! *reference ratio* is its fastest sample over the reference's fastest
+//! per-call time, and the guard compares ratios, not nanoseconds: a
+//! shared host that is slower or busier while the guard runs slows both
+//! sides alike. An entry that reads more than 30% above its baseline
+//! ratio is re-sampled for up to four more rounds before it counts as
+//! regressed.
 //!
 //! Groups:
 //!
@@ -23,13 +33,16 @@
 //!   256×256×256 (plus layer-shaped cases), reporting speedups;
 //! * `gemm_transposed` — `matmul_at`/`matmul_bt` strided panel packing vs
 //!   the old materialized-transpose formulation;
-//! * `conv` — LeNet's two convolution layers: forward at batch 100,
-//!   forward+backward at batch 32, second-backward at batch 256;
+//! * `conv` — LeNet's two convolution layers on one GEMM thread: forward
+//!   at batch 100, forward+backward at batch 32, second-backward at
+//!   batch 256;
 //! * `second_derivative` — §3.3 claim: the single-pass Hessian diagonal
 //!   costs about one gradient pass, vs per-weight finite differences;
 //! * `write_verify` — device programming with exact pulse accounting;
 //! * `selection` — ranking 100k weights (LeNet scale);
 //! * `end_to_end` — one Monte Carlo programming unit;
+//! * `program` / `eval` — one LeNet chip: programming 100k weights at
+//!   f = 0, 0.5, 1, and a batch-100 forward in `Eval` vs `Infer` mode;
 //! * `sweep` — Monte Carlo sweep throughput (runs/sec), per-worker
 //!   scratch reuse vs the old clone-per-run harness;
 //! * `simd` — GEMM 256³ and the elementwise kernels per SIMD backend
@@ -47,27 +60,86 @@ use swim_core::montecarlo::{nwc_sweep, parallel_map, SweepConfig};
 use swim_core::select::{build_ranking, mask_top_fraction, Strategy};
 use swim_data::Dataset;
 use swim_exp::value::{parse_json, Value};
+use swim_nn::arena::ActivationArena;
 use swim_nn::finite_diff::hessian_diag_fd;
 use swim_nn::layer::{Layer, Mode};
 use swim_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu, Sequential};
 use swim_nn::loss::SoftmaxCrossEntropy;
+use swim_nn::models::LeNetConfig;
 use swim_nn::Network;
 use swim_tensor::linalg::{matmul, matmul_at, matmul_bt, matmul_reference, matmul_with_threads};
 use swim_tensor::tune::{self, with_tuning, KernelTuning};
 use swim_tensor::{Prng, Tensor};
 
-/// One measured entry: median wall time over the sample runs.
+/// One measured entry: median wall time over the sample runs, and the
+/// reference ratio (fastest sample over the interleaved reference's
+/// fastest per-call time).
 struct Sample {
     name: String,
     median: Duration,
+    ratio: f64,
+}
+
+/// Sampling rounds per entry, each after a pause and an untimed warm-up
+/// call. A shared host runs the same code at speeds that differ by up
+/// to 1.5× for stretches of a few hundred milliseconds; spreading an
+/// entry's samples over rounds lets its fastest sample (and the
+/// reference's) come from the host's fast state.
+const ROUNDS: usize = 3;
+
+/// Extra rounds granted to an entry that reads above the guard's bound
+/// before it counts as regressed: a real slowdown stays above it in
+/// every round, a slow stretch of the host does not.
+const CONFIRM_ROUNDS: usize = 4;
+
+/// Pause before each round.
+const ROUND_GAP: Duration = Duration::from_millis(250);
+
+/// A guarded entry fails when its reference ratio exceeds the
+/// baseline's by this factor.
+const REGRESSION_BOUND: f64 = 1.30;
+
+/// Chain steps in one reference-kernel call.
+const REFERENCE_UNITS: u64 = 4096;
+
+/// The reference kernel's stream buffer: 2 MiB of `f64`, past a core's
+/// L2 like the chip-sized kernels' working sets.
+const REFERENCE_STREAM: usize = 1 << 18;
+
+/// The fixed yardstick every entry is timed against, `calls` times
+/// over; its code never changes with the program. Each call runs a
+/// scalar xorshift-and-accumulate dependency chain, then a
+/// read-modify-write pass over the next eighth of `stream`, so both a
+/// slower core and contention for the shared cache and memory move it,
+/// as they move the kernels.
+fn reference_kernel(calls: u64, stream: &mut [f64]) -> f64 {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut acc = 0.0f64;
+    let eighth = stream.len() / 8;
+    for call in 0..calls {
+        for _ in 0..REFERENCE_UNITS {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            acc = acc * 0.999_999 + (x >> 11) as f64;
+        }
+        let chunk = call as usize % 8 * eighth;
+        for v in &mut stream[chunk..chunk + eighth] {
+            *v = *v * 0.999_999 + 1e-9;
+        }
+    }
+    acc + stream[0]
 }
 
 struct Harness {
     filter: Option<Vec<String>>,
     samples_per_entry: usize,
     results: Vec<Sample>,
+    /// The reference kernel's stream buffer.
+    stream: Vec<f64>,
     json_out: Option<std::path::PathBuf>,
-    baseline: Option<std::path::PathBuf>,
+    /// `--baseline` snapshot: its path and its reference ratios.
+    baseline: Option<(std::path::PathBuf, Value)>,
 }
 
 impl Harness {
@@ -94,10 +166,16 @@ impl Harness {
                 }
             }
         }
+        let baseline = baseline.map(|path| {
+            let path = resolve_from_workspace_root(&path);
+            let ratios = read_reference_ratios(&path);
+            (path, ratios)
+        });
         Harness {
             filter,
             samples_per_entry: if quick { 5 } else { 11 },
             results: Vec::new(),
+            stream: vec![1.0; REFERENCE_STREAM],
             json_out,
             baseline,
         }
@@ -109,22 +187,63 @@ impl Harness {
 
     /// Times `f`, returning the median of the sample runs (robust to
     /// scheduler noise on shared machines).
+    ///
+    /// Samples come in [`ROUNDS`] rounds; each sample runs right after
+    /// a reference sample sized (at warm-up) to last about as long as
+    /// `f`. The entry's reference ratio is its fastest sample over the
+    /// reference's fastest per-call time. An entry that reads above the
+    /// `--baseline` bound gets up to [`CONFIRM_ROUNDS`] more rounds.
     fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> Option<Duration> {
         if self.skip(name) {
             return None;
         }
-        black_box(f()); // warm-up: page in inputs, train caches
-        let mut times: Vec<Duration> = (0..self.samples_per_entry)
-            .map(|_| {
+        // Warm-up: page in inputs, train caches, and size the reference.
+        let t0 = Instant::now();
+        black_box(f());
+        let kernel = t0.elapsed();
+        let stream = &mut self.stream;
+        black_box(reference_kernel(8, stream));
+        let t0 = Instant::now();
+        black_box(reference_kernel(1, stream));
+        let unit = t0.elapsed().max(Duration::from_nanos(1));
+        let calls = (kernel.as_secs_f64() / unit.as_secs_f64()).round().clamp(1.0, 1e5) as u64;
+        let (mut times, mut reference) = (Vec::new(), f64::INFINITY);
+        let samples = self.samples_per_entry;
+        let mut round = |times: &mut Vec<Duration>, reference: &mut f64| {
+            std::thread::sleep(ROUND_GAP);
+            black_box(f());
+            for _ in 0..samples {
+                let t0 = Instant::now();
+                black_box(reference_kernel(black_box(calls), stream));
+                *reference = reference.min(t0.elapsed().as_secs_f64() / calls as f64);
                 let t0 = Instant::now();
                 black_box(f());
-                t0.elapsed()
-            })
-            .collect();
+                times.push(t0.elapsed());
+            }
+        };
+        for _ in 0..ROUNDS {
+            round(&mut times, &mut reference);
+        }
+        let ratio = |times: &[Duration], reference: f64| {
+            let fastest = times.iter().min().expect("at least one sample");
+            fastest.as_secs_f64() / reference.max(1e-12)
+        };
+        let bound = self
+            .baseline
+            .as_ref()
+            .and_then(|(_, ratios)| ratios.get(name).and_then(Value::as_float))
+            .map(|base| base * REGRESSION_BOUND);
+        for _ in 0..CONFIRM_ROUNDS {
+            if bound.is_none_or(|bound| ratio(&times, reference) <= bound) {
+                break;
+            }
+            round(&mut times, &mut reference);
+        }
         times.sort_unstable();
         let median = times[times.len() / 2];
-        println!("  {name:<44} {:>12}", format_duration(median));
-        self.results.push(Sample { name: name.to_string(), median });
+        let ratio = ratio(&times, reference);
+        println!("  {name:<44} {:>12} {ratio:>10.2} ref", format_duration(median));
+        self.results.push(Sample { name: name.to_string(), median, ratio });
         Some(median)
     }
 
@@ -136,8 +255,10 @@ impl Harness {
     /// as a JSON snapshot — the format `--baseline` reads back.
     fn write_snapshot(&self, path: &std::path::Path) {
         let mut entries = Value::table();
+        let mut ratios = Value::table();
         for s in &self.results {
             entries.set(&s.name, Value::Int(s.median.as_nanos() as i64));
+            ratios.set(&s.name, Value::Float(s.ratio));
         }
         let mut root = Value::table();
         root.set("bench", Value::Str("kernels".into()));
@@ -155,34 +276,33 @@ impl Harness {
             )),
         );
         root.set("median_ns", entries);
+        root.set("reference_ratio", ratios);
         std::fs::write(path, root.to_json() + "\n")
             .unwrap_or_else(|e| panic!("cannot write snapshot {}: {e}", path.display()));
         println!("\nwrote {} snapshot entries to {}", self.results.len(), path.display());
     }
 
     /// Compares this run against a `--json` snapshot: every entry
-    /// measured in both is checked with a generous ±30% threshold.
+    /// measured in both is checked with a generous ±30% threshold on its
+    /// reference ratio (the entry's time in units of the interleaved
+    /// reference kernel), so a host that is uniformly slower or busier
+    /// than when the snapshot was taken does not read as a regression.
     /// Entries present on only one side are reported but never fail
     /// (filters, `--quick`, and machine-dependent groups measure
     /// subsets). Returns `false` when any shared entry regressed.
-    fn check_baseline(&self, path: &std::path::Path) -> bool {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-        let root = parse_json(&text)
-            .unwrap_or_else(|e| panic!("baseline {} is not valid JSON: {e}", path.display()));
-        let entries = root.get("median_ns").expect("baseline has a median_ns table");
-
-        println!("\nbaseline comparison vs {} (±30% threshold)", path.display());
+    fn check_baseline(&self) -> bool {
+        let Some((path, entries)) = &self.baseline else { return true };
+        println!("\nbaseline comparison vs {} (reference ratios, ±30% threshold)", path.display());
         let mut compared = 0usize;
         let mut regressions = Vec::new();
         for s in &self.results {
-            let Some(base_ns) = entries.get(&s.name).and_then(Value::as_int) else {
+            let Some(base) = entries.get(&s.name).and_then(Value::as_float) else {
                 println!("  {:<44} (not in baseline — skipped)", s.name);
                 continue;
             };
             compared += 1;
-            let ratio = s.median.as_nanos() as f64 / (base_ns as f64).max(1.0);
-            let verdict = if ratio > 1.30 {
+            let ratio = s.ratio / base.max(1e-12);
+            let verdict = if ratio > REGRESSION_BOUND {
                 regressions.push(s.name.clone());
                 "REGRESSED"
             } else if ratio < 0.70 {
@@ -213,6 +333,17 @@ impl Harness {
             false
         }
     }
+}
+
+/// The `reference_ratio` table of a `--json` snapshot.
+fn read_reference_ratios(path: &std::path::Path) -> Value {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
+    let root = parse_json(&text)
+        .unwrap_or_else(|e| panic!("baseline {} is not valid JSON: {e}", path.display()));
+    root.get("reference_ratio").cloned().unwrap_or_else(|| {
+        panic!("baseline {} has no reference_ratio table; refresh it with --json", path.display())
+    })
 }
 
 /// The host a snapshot was measured on: CPU brand, the SIMD backends it
@@ -342,7 +473,7 @@ fn bench_gemm_transposed(h: &mut Harness) {
 /// forward+backward at the training batch (32), and second-backward at
 /// the sensitivity batch (256).
 fn bench_conv(h: &mut Harness) {
-    h.group("conv (LeNet layers: forward b100, forward+backward b32, second-backward b256)");
+    h.group("conv (LeNet layers, 1 GEMM thread: fwd b100, fwd+bwd b32, second-bwd b256)");
     let mut rng = Prng::seed_from_u64(11);
     // (name, in channels, out channels, kernel, padding, input side)
     for (name, cin, cout, k, p, side) in
@@ -607,6 +738,36 @@ fn bench_end_to_end(h: &mut Harness) {
     });
 }
 
+/// The two halves of one Monte Carlo chip on the paper's LeNet
+/// (100,190 device weights, 4-bit codes on 4-bit RRAM): programming every
+/// weight under a scattered write-verify mask at f = 0, 0.5 and 1, and
+/// scoring one eval batch of 100 images through the cache-keeping
+/// `Mode::Eval` forward and the cache-free `Mode::Infer` forward.
+fn bench_chip(h: &mut Harness) {
+    h.group("program / eval (one LeNet Monte Carlo chip, 1 GEMM thread)");
+    let mut rng = Prng::seed_from_u64(14);
+    let model = QuantizedModel::new(LeNetConfig::default().build(3), 4, DeviceConfig::rram());
+    let sens: Vec<f32> = (0..model.weight_count()).map(|_| rng.uniform_f32()).collect();
+    let ranking = build_ranking(Strategy::Swim, &sens, &model.magnitudes(), None);
+    let (mut codes, mut weights) = (Vec::new(), Vec::new());
+    for (label, fraction) in [("f0", 0.0), ("f0.5", 0.5), ("f1", 1.0)] {
+        let mask = mask_top_fraction(&ranking, fraction);
+        h.bench(&format!("program/lenet_100k/{label}"), || {
+            model.program_weights_into(Some(&mask), &mut rng, &mut codes, &mut weights)
+        });
+    }
+
+    let mut net = model.network_clone();
+    let x = Tensor::randn(&[100, 1, 28, 28], &mut rng);
+    let mut arena = ActivationArena::new();
+    for (label, mode) in [("eval", Mode::Eval), ("infer", Mode::Infer)] {
+        h.bench(&format!("eval/lenet_b100/{label}"), || {
+            let logits = net.forward_with(&x, mode, &mut arena);
+            arena.recycle(logits);
+        });
+    }
+}
+
 fn main() {
     let mut h = Harness::new();
     println!(
@@ -616,11 +777,16 @@ fn main() {
     );
     bench_gemm(&mut h);
     bench_gemm_transposed(&mut h);
-    bench_conv(&mut h);
+    // The LeNet layers and chip run on one GEMM thread, as inside a
+    // Monte Carlo worker; a second thread would make their guarded
+    // times track whether the host's other core is free.
+    let serial = KernelTuning { gemm_threads: 1, ..tune::current() };
+    with_tuning(&serial, || bench_conv(&mut h));
     bench_second_derivative(&mut h);
     bench_write_verify(&mut h);
     bench_selection(&mut h);
     bench_end_to_end(&mut h);
+    with_tuning(&serial, || bench_chip(&mut h));
     bench_sweep_throughput(&mut h);
     bench_simd(&mut h);
     bench_thread_threshold(&mut h);
@@ -635,10 +801,8 @@ fn main() {
     if let Some(path) = h.json_out.clone() {
         h.write_snapshot(&resolve_from_workspace_root(&path));
     }
-    if let Some(path) = h.baseline.clone() {
-        if !h.check_baseline(&resolve_from_workspace_root(&path)) {
-            std::process::exit(1);
-        }
+    if !h.check_baseline() {
+        std::process::exit(1);
     }
 }
 

@@ -10,8 +10,8 @@
 use crate::prep::Prepared;
 use swim_core::insitu::{insitu_training, InsituConfig};
 use swim_core::montecarlo::{
-    aggregate_sweep_rows, nwc_sweep_outcome, parallel_map, PanicPolicy, RunFault, SweepConfig,
-    SweepPoint,
+    aggregate_sweep_rows, nwc_denominator, nwc_sweep_with_denominator, parallel_map, PanicPolicy,
+    RunFault, SweepConfig, SweepPoint,
 };
 use swim_core::report::{fmt_mean_std, Table};
 use swim_core::select::{default_selectors, Selector};
@@ -189,16 +189,24 @@ fn sweep_methods(
         run_offset: cfg.run_offset,
         on_panic: cfg.on_panic,
     };
+    // The NWC = 1.0 denominator depends on the model and seed only: one
+    // full write-verify simulation per block serves every selector.
+    let denom = if selectors.is_empty() || cfg.fractions.is_empty() {
+        0.0
+    } else {
+        nwc_denominator(&prepared.model, cfg.seed)
+    };
     let mut methods = Vec::new();
     for selector in selectors {
         eprintln!("[driver] sweeping {} ({} runs)...", selector.name(), cfg.runs);
-        let outcome = nwc_sweep_outcome(
+        let outcome = nwc_sweep_with_denominator(
             &prepared.model,
             selector.as_ref(),
             &sens,
             &mags,
             &prepared.test,
             &sweep_cfg,
+            denom,
         );
         methods.push(MethodCurve {
             name: selector.name().to_string(),

@@ -187,6 +187,7 @@ impl DeviceConfig {
     ///
     /// Panics if any field is out of its documented range. Called by the
     /// programming entry points.
+    #[inline]
     pub fn validate(&self) {
         assert!(self.sigma.is_finite() && self.sigma >= 0.0, "sigma must be non-negative");
         assert!(

@@ -8,7 +8,6 @@
 //! counts are accumulated exactly, which is what the paper's
 //! *normalized write cycles* metric is computed from.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,19 +15,6 @@ use crate::device::DeviceConfig;
 use crate::model::{default_device_model, DeviceModel};
 use swim_quant::DeviceSlicing;
 use swim_tensor::Prng;
-
-/// Unverified weights are programmed in runs of at most this many weights
-/// through [`DeviceModel::program_once_bulk`], so the SIMD-friendly batch
-/// stays small enough to live in cache.
-const BULK_RUN_WEIGHTS: usize = 256;
-
-thread_local! {
-    /// Reused (slice-level targets, programmed conductances) staging
-    /// buffers for the bulk programming path — per worker thread, so the
-    /// Monte Carlo harness stays allocation-free in steady state.
-    static BULK_BUFFERS: RefCell<(Vec<f64>, Vec<f64>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
 
 /// Aggregate result of programming a weight tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -156,21 +142,7 @@ impl WeightMapper {
     /// the collect-then-reconstruct formulation) — this is the innermost
     /// loop of every Monte Carlo run.
     pub fn program_weight(&self, code: i32, verify: bool, rng: &mut Prng) -> (f64, u64) {
-        let magnitude = self.checked_magnitude(code);
-        let sign = if code < 0 { -1.0 } else { 1.0 };
-        let mut pulses = 0u64;
-        let mut reconstructed = 0.0f64;
-        for i in 0..self.slicing.num_devices() {
-            let level = self.slicing.slice_level(magnitude, i);
-            let outcome = if verify {
-                self.model.write_verify(level as f64, &self.config, rng)
-            } else {
-                self.model.program_once(level as f64, &self.config, rng)
-            };
-            pulses += outcome.pulses;
-            reconstructed += outcome.value * self.slicing.significance(i);
-        }
-        (sign * reconstructed, pulses)
+        Slices::new(self.slicing).program(&*self.model, &self.config, code, verify, rng)
     }
 
     /// Programs a slice of signed weight codes.
@@ -212,97 +184,7 @@ impl WeightMapper {
         rng: &mut Prng,
         out: &mut Vec<f64>,
     ) -> ProgramSummary {
-        if let Some(sel) = selection {
-            assert_eq!(sel.len(), codes.len(), "selection mask length mismatch");
-        }
-        let mut summary =
-            ProgramSummary { total_weights: codes.len() as u64, ..Default::default() };
-        out.clear();
-        out.reserve(codes.len());
-        // Maximal runs of unverified weights go through the model's bulk
-        // path (bit-identical to weight-at-a-time programming, same RNG
-        // stream); each verified weight flushes the pending run first so
-        // draw order is preserved exactly.
-        BULK_BUFFERS.with(|buffers| {
-            let (targets, values) = &mut *buffers.borrow_mut();
-            let mut run_start = 0usize;
-            for (i, &code) in codes.iter().enumerate() {
-                if selection.map(|s| s[i]).unwrap_or(false) {
-                    self.flush_bulk_run(
-                        &codes[run_start..i],
-                        targets,
-                        values,
-                        rng,
-                        out,
-                        &mut summary,
-                    );
-                    run_start = i + 1;
-                    let (value, pulses) = self.program_weight(code, true, rng);
-                    summary.verify_pulses += pulses;
-                    summary.verified_weights += 1;
-                    out.push(value);
-                } else if i + 1 - run_start == BULK_RUN_WEIGHTS {
-                    self.flush_bulk_run(
-                        &codes[run_start..=i],
-                        targets,
-                        values,
-                        rng,
-                        out,
-                        &mut summary,
-                    );
-                    run_start = i + 1;
-                }
-            }
-            self.flush_bulk_run(&codes[run_start..], targets, values, rng, out, &mut summary);
-        });
-        summary
-    }
-
-    /// Programs one run of unverified weights through the model's bulk
-    /// path: slice levels are laid out weight-major/device-minor (the
-    /// exact order the per-weight loop would draw in), and each weight is
-    /// reconstructed with the same per-device summation order as
-    /// [`WeightMapper::program_weight`].
-    fn flush_bulk_run(
-        &self,
-        codes: &[i32],
-        targets: &mut Vec<f64>,
-        values: &mut Vec<f64>,
-        rng: &mut Prng,
-        out: &mut Vec<f64>,
-        summary: &mut ProgramSummary,
-    ) {
-        if codes.is_empty() {
-            return;
-        }
-        let devices = self.slicing.num_devices();
-        targets.clear();
-        for &code in codes {
-            let magnitude = self.checked_magnitude(code);
-            for d in 0..devices {
-                targets.push(self.slicing.slice_level(magnitude, d) as f64);
-            }
-        }
-        values.clear();
-        summary.bulk_pulses += self.model.program_once_bulk(targets, &self.config, rng, values);
-        for (w, &code) in codes.iter().enumerate() {
-            let sign = if code < 0 { -1.0 } else { 1.0 };
-            let mut reconstructed = 0.0f64;
-            for d in 0..devices {
-                reconstructed += values[w * devices + d] * self.slicing.significance(d);
-            }
-            out.push(sign * reconstructed);
-        }
-    }
-
-    fn checked_magnitude(&self, code: i32) -> u32 {
-        let max_code = (1i64 << self.slicing.weight_bits()) - 1;
-        assert!(
-            (code as i64).abs() <= max_code,
-            "code {code} does not fit in {} bits",
-            self.slicing.weight_bits()
-        );
-        code.unsigned_abs()
+        self.model.program_codes(self.slicing, codes, selection, &self.config, rng, out)
     }
 
     /// Pulses needed to write-verify *all* `codes` — the NWC = 1.0
@@ -312,6 +194,72 @@ impl WeightMapper {
         let all = vec![true; codes.len()];
         let (_, summary) = self.program(codes, Some(&all), rng);
         summary.verify_pulses
+    }
+}
+
+/// The bit-slicing arithmetic of one weight width, resolved once per
+/// tensor so the per-weight loop does no bounds bookkeeping.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slices {
+    weight_bits: u32,
+    device_bits: u32,
+    devices: usize,
+}
+
+impl Slices {
+    pub(crate) fn new(slicing: DeviceSlicing) -> Self {
+        Slices {
+            weight_bits: slicing.weight_bits(),
+            device_bits: slicing.device_bits(),
+            devices: slicing.num_devices(),
+        }
+    }
+
+    /// Programs one signed weight code through `model`: its magnitude
+    /// is bit-sliced (Eq. 15), every device is programmed in slice
+    /// order, verified or not, and the noisy code is reconstructed on
+    /// the fly — the same levels, significances and summation order as
+    /// [`DeviceSlicing::slice_level`] + [`DeviceSlicing::reconstruct`].
+    /// Returns the noisy code and the pulses spent.
+    ///
+    /// Generic so that [`DeviceModel::program_codes`] calls it with the
+    /// concrete model (static per-device calls) and
+    /// [`WeightMapper::program_weight`] with the trait object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `code` does not fit in the weight width.
+    #[inline]
+    pub(crate) fn program<M: DeviceModel + ?Sized>(
+        self,
+        model: &M,
+        cfg: &DeviceConfig,
+        code: i32,
+        verify: bool,
+        rng: &mut Prng,
+    ) -> (f64, u64) {
+        let magnitude = code.unsigned_abs();
+        assert!(
+            magnitude >> self.weight_bits == 0,
+            "code {code} does not fit in {} bits",
+            self.weight_bits
+        );
+        let sign = if code < 0 { -1.0 } else { 1.0 };
+        let level_mask = (1u32 << self.device_bits) - 1;
+        let mut pulses = 0u64;
+        let mut reconstructed = 0.0f64;
+        for i in 0..self.devices {
+            let shift = i as u32 * self.device_bits;
+            let level = ((magnitude >> shift) & level_mask) as f64;
+            let outcome = if verify {
+                model.write_verify(level, cfg, rng)
+            } else {
+                model.program_once(level, cfg, rng)
+            };
+            pulses += outcome.pulses;
+            reconstructed += outcome.value * (1u64 << shift) as f64;
+        }
+        (sign * reconstructed, pulses)
     }
 }
 
@@ -415,8 +363,9 @@ mod tests {
 
     #[test]
     fn bulk_runs_are_bit_identical_to_the_per_weight_loop() {
-        // Lengths straddle the BULK_RUN_WEIGHTS cap; the mixed selection
-        // forces mid-stream flushes.
+        // The whole-chip `program_into` call against one `program_weight`
+        // call per weight; the mixed selection interleaves verified and
+        // bulk-programmed weights in one stream.
         let m = mapper();
         for (len, sel) in [
             (0usize, None),

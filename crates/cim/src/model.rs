@@ -19,8 +19,9 @@ use std::sync::Arc;
 
 use crate::device::DeviceConfig;
 use crate::drift::DriftModel;
+use crate::mapping::{ProgramSummary, Slices};
 use crate::writeverify::{program_once, write_verify, ProgramOutcome};
-use swim_tensor::simd;
+use swim_quant::DeviceSlicing;
 use swim_tensor::Prng;
 
 /// A pluggable device programming-noise model.
@@ -56,32 +57,59 @@ pub trait DeviceModel: Send + Sync {
     /// budget runs out), accounting every pulse.
     fn write_verify(&self, target: f64, cfg: &DeviceConfig, rng: &mut Prng) -> ProgramOutcome;
 
-    /// Programs a batch of device levels without verification, appending
-    /// one conductance per target to `values` and returning the total
-    /// pulse count.
+    /// Programs a tensor of signed weight codes, bit-sliced by `slicing`,
+    /// into `out` (cleared, capacity reused): weight `i` is
+    /// write-verified when `selection[i]` is set (never when `selection`
+    /// is `None`) and reconstructed from its devices' conductances.
     ///
-    /// Must be **bit-identical** to calling [`program_once`] once per
-    /// target in order, including RNG stream consumption — the default
-    /// implementation does exactly that. Models whose single-shot noise
-    /// is a pure `target + sigma·z` transform may override it to draw
-    /// the unit normals first and apply the affine map through the SIMD
-    /// layer (see [`RramGaussian`]).
+    /// Draws are weight-major and device-minor — exactly the stream of
+    /// calling [`WeightMapper::program_weight`] once per weight in order —
+    /// so every implementation must stay bit-identical to that loop
+    /// (values, [`ProgramSummary`] and the RNG state left behind). The
+    /// default body is that loop: being a default method it is compiled
+    /// once per model, so the per-device [`program_once`] /
+    /// [`write_verify`] calls inside it are static and inlinable, and
+    /// the configuration is validated once per tensor instead of once
+    /// per device.
     ///
+    /// # Panics
+    ///
+    /// Panics if `selection` has a different length than `codes`, a code
+    /// does not fit in `slicing.weight_bits()` bits, or `cfg` is invalid.
+    ///
+    /// [`WeightMapper::program_weight`]: crate::mapping::WeightMapper::program_weight
     /// [`program_once`]: DeviceModel::program_once
-    fn program_once_bulk(
+    /// [`write_verify`]: DeviceModel::write_verify
+    fn program_codes(
         &self,
-        targets: &[f64],
+        slicing: DeviceSlicing,
+        codes: &[i32],
+        selection: Option<&[bool]>,
         cfg: &DeviceConfig,
         rng: &mut Prng,
-        values: &mut Vec<f64>,
-    ) -> u64 {
-        let mut pulses = 0u64;
-        for &target in targets {
-            let outcome = self.program_once(target, cfg, rng);
-            values.push(outcome.value);
-            pulses += outcome.pulses;
+        out: &mut Vec<f64>,
+    ) -> ProgramSummary {
+        if let Some(sel) = selection {
+            assert_eq!(sel.len(), codes.len(), "selection mask length mismatch");
         }
-        pulses
+        cfg.validate();
+        let slices = Slices::new(slicing);
+        let mut summary =
+            ProgramSummary { total_weights: codes.len() as u64, ..Default::default() };
+        out.clear();
+        out.reserve(codes.len());
+        for (i, &code) in codes.iter().enumerate() {
+            let verify = selection.is_some_and(|s| s[i]);
+            let (value, pulses) = slices.program(self, cfg, code, verify, rng);
+            if verify {
+                summary.verify_pulses += pulses;
+                summary.verified_weights += 1;
+            } else {
+                summary.bulk_pulses += pulses;
+            }
+            out.push(value);
+        }
+        summary
     }
 }
 
@@ -113,24 +141,6 @@ impl DeviceModel for RramGaussian {
 
     fn write_verify(&self, target: f64, cfg: &DeviceConfig, rng: &mut Prng) -> ProgramOutcome {
         write_verify(target, cfg, rng)
-    }
-
-    fn program_once_bulk(
-        &self,
-        targets: &[f64],
-        cfg: &DeviceConfig,
-        rng: &mut Prng,
-        values: &mut Vec<f64>,
-    ) -> u64 {
-        cfg.validate();
-        // `normal(target, sigma)` is exactly `target + sigma * z` with
-        // `z = normal(0, 1)`, so drawing the unit normals first (same
-        // stream, same order) and applying the affine map through the
-        // SIMD layer stays bit-identical to the per-device path.
-        let start = values.len();
-        values.extend(targets.iter().map(|_| rng.normal(0.0, 1.0)));
-        simd::scale_add_f64(targets, cfg.level_sigma(), &mut values[start..]);
-        targets.len() as u64
     }
 }
 
@@ -416,6 +426,7 @@ pub fn device_model_keys() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::WeightMapper;
 
     #[test]
     fn rram_gaussian_is_bit_identical_to_free_functions() {
@@ -437,30 +448,49 @@ mod tests {
         }
     }
 
+    /// `program_codes` against the per-weight oracle: one
+    /// `WeightMapper::program_weight` call per weight, in order — same
+    /// values bit for bit, same summary, and the RNG left at the same
+    /// point, for every registry model, around the old 256-weight run
+    /// boundary, with no, full and scattered write-verify masks.
     #[test]
     fn bulk_programming_is_bit_identical_to_per_device() {
         let cfg = DeviceConfig::rram();
-        let mut targets = Vec::new();
-        let mut rng = Prng::seed_from_u64(31);
-        for _ in 0..257 {
-            targets.push(rng.uniform_range(0.0, cfg.full_scale()));
-        }
+        // 8-bit weights on 4-bit devices: two devices per weight.
+        let slicing = DeviceSlicing::new(8, cfg.device_bits);
+        let codes: Vec<i32> = (0..1000).map(|i| (i * 37 % 511) - 255).collect();
         for model in device_model_registry() {
-            for len in [0usize, 1, 7, 64, 257] {
-                let mut a = Prng::seed_from_u64(13);
-                let mut b = Prng::seed_from_u64(13);
-                let mut values = Vec::new();
-                let pulses = model.program_once_bulk(&targets[..len], &cfg, &mut a, &mut values);
-                let mut ref_pulses = 0u64;
-                for (&target, &got) in targets[..len].iter().zip(&values) {
-                    let outcome = model.program_once(target, &cfg, &mut b);
-                    assert_eq!(got.to_bits(), outcome.value.to_bits(), "{} len {len}", model.key());
-                    ref_pulses += outcome.pulses;
+            let mapper = WeightMapper::with_model(8, cfg, model.clone());
+            for len in [0usize, 1, 255, 256, 257, 1000] {
+                let codes = &codes[..len];
+                let all = vec![true; len];
+                let scattered: Vec<bool> = (0..len).map(|i| i % 7 == 3 || i % 11 == 0).collect();
+                for (label, sel) in
+                    [("none", None), ("all", Some(&all[..])), ("scattered", Some(&scattered[..]))]
+                {
+                    let what = format!("{} len {len} mask {label}", model.key());
+                    let mut rng = Prng::seed_from_u64(77);
+                    let mut ref_rng = Prng::seed_from_u64(77);
+                    let mut got = vec![5.0; 3]; // stale contents are cleared
+                    let summary =
+                        model.program_codes(slicing, codes, sel, &cfg, &mut rng, &mut got);
+                    let mut expected =
+                        ProgramSummary { total_weights: len as u64, ..Default::default() };
+                    assert_eq!(got.len(), len, "{what}");
+                    for (i, (&code, &value)) in codes.iter().zip(&got).enumerate() {
+                        let verify = sel.is_some_and(|s| s[i]);
+                        let (want, pulses) = mapper.program_weight(code, verify, &mut ref_rng);
+                        assert_eq!(value.to_bits(), want.to_bits(), "{what}: weight {i}");
+                        if verify {
+                            expected.verify_pulses += pulses;
+                            expected.verified_weights += 1;
+                        } else {
+                            expected.bulk_pulses += pulses;
+                        }
+                    }
+                    assert_eq!(summary, expected, "{what}");
+                    assert_eq!(rng.next_u64(), ref_rng.next_u64(), "{what}: stream diverged");
                 }
-                assert_eq!(values.len(), len);
-                assert_eq!(pulses, ref_pulses, "{} len {len}", model.key());
-                // And the RNG streams stayed in lockstep.
-                assert_eq!(a.next_u64(), b.next_u64(), "{} len {len}", model.key());
             }
         }
     }

@@ -433,6 +433,10 @@ pub struct SweepOutcome {
 /// [`nwc_sweep`] returning the raw per-run matrix and isolated faults
 /// alongside the aggregated points — the building block for seed-range
 /// sharding and `swim merge`.
+///
+/// A thin wrapper: [`nwc_denominator`] then [`nwc_sweep_with_denominator`].
+/// Callers sweeping several selectors over one model and seed compute
+/// the denominator once and call the latter directly.
 pub fn nwc_sweep_outcome(
     model: &QuantizedModel,
     selector: &dyn Selector,
@@ -440,6 +444,31 @@ pub fn nwc_sweep_outcome(
     magnitudes: &[f32],
     eval: &Dataset,
     config: &SweepConfig,
+) -> SweepOutcome {
+    let denom = if config.fractions.is_empty() { 0.0 } else { nwc_denominator(model, config.seed) };
+    nwc_sweep_with_denominator(model, selector, sensitivities, magnitudes, eval, config, denom)
+}
+
+/// The NWC = 1.0 denominator of a sweep seeded with `seed`: the pulses
+/// to write-verify every weight of `model`, simulated on the sweep's
+/// dedicated `fork(u64::MAX)` stream so it never perturbs a run's draws.
+/// A property of (model, seed) alone, so one value serves every
+/// selector swept with that seed.
+pub fn nwc_denominator(model: &QuantizedModel, seed: u64) -> f64 {
+    model.write_verify_all_cost(&mut Prng::seed_from_u64(seed).fork(u64::MAX)) as f64
+}
+
+/// [`nwc_sweep_outcome`] with the NWC denominator given — it must be
+/// [`nwc_denominator`]`(model, config.seed)` for the documented
+/// semantics.
+pub fn nwc_sweep_with_denominator(
+    model: &QuantizedModel,
+    selector: &dyn Selector,
+    sensitivities: &[f32],
+    magnitudes: &[f32],
+    eval: &Dataset,
+    config: &SweepConfig,
+    denom: f64,
 ) -> SweepOutcome {
     assert_eq!(sensitivities.len(), model.weight_count(), "sensitivities length mismatch");
     assert_eq!(magnitudes.len(), model.weight_count(), "magnitudes length mismatch");
@@ -452,7 +481,6 @@ pub fn nwc_sweep_outcome(
     }
 
     let base = Prng::seed_from_u64(config.seed);
-    let denom = model.write_verify_all_cost(&mut base.fork(u64::MAX)) as f64;
     let spans = model.param_spans();
     let inputs = SelectionInputs::with_spans(sensitivities, magnitudes, &spans);
     let fixed_ranking =

@@ -4,17 +4,33 @@ use crate::arena::ActivationArena;
 use crate::param::Param;
 use swim_tensor::Tensor;
 
-/// Whether a forward pass is part of training or inference.
+/// What a forward pass is for: training, frozen evaluation that a
+/// backward pass may follow, or pure inference.
 ///
-/// Affects layers with mode-dependent behaviour (batch normalization uses
-/// batch statistics when training and running statistics when evaluating).
+/// * `Train` and `Eval` differ only in mode-dependent layers (batch
+///   normalization uses batch statistics when training and running
+///   statistics otherwise). Both keep the activations the backward
+///   passes need: the sensitivity pass runs `second_backward` after an
+///   `Eval` forward.
+/// * `Infer` computes exactly the `Eval` output, bit for bit, but keeps
+///   nothing for a backward pass: `Conv2d`/`Linear` skip the cached
+///   input copy, `Relu` writes no mask and `MaxPool2d` no argmax. Every
+///   layer marks its caches stale while keeping their capacity, so a
+///   `backward`/`second_backward` after an `Infer` forward panics
+///   ("backward called before forward") instead of reading an older
+///   batch, and a later `Train`/`Eval` forward refills the same buffers.
+///   [`crate::Network::accuracy`], [`crate::Network::accuracy_with`] and
+///   [`crate::Network::predict`] run in this mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
     /// Training: batch statistics, QAT fake quantization active.
     Train,
-    /// Inference / sensitivity analysis: frozen statistics.
+    /// Evaluation / sensitivity analysis: frozen statistics, backward
+    /// caches kept.
     #[default]
     Eval,
+    /// Inference: `Eval` outputs with no backward caches.
+    Infer,
 }
 
 /// A differentiable network layer with first- and second-order
@@ -33,7 +49,8 @@ pub enum Mode {
 /// # Contract
 ///
 /// `backward`/`second_backward` must be called after a `forward` on the
-/// same input batch (layers cache activations). Both *accumulate* into
+/// same input batch in [`Mode::Train`] or [`Mode::Eval`] (layers cache
+/// activations; an [`Mode::Infer`] forward leaves them stale). Both *accumulate* into
 /// `Param::grad` / `Param::hess` so sensitivities can be averaged over
 /// multiple batches; call [`Layer::zero_grads`] / [`Layer::zero_hess`]
 /// between optimizer steps.

@@ -17,6 +17,7 @@
 //! Gauss–Newton form (`g''` term dropped), which is also what the paper's
 //! ReLU-only experiments use.
 
+use super::Cache;
 use crate::arena::ActivationArena;
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
@@ -50,7 +51,7 @@ pub enum Smooth {
 pub struct SmoothActivation {
     kind: Smooth,
     /// Cached activation output `g(I)` from the last forward.
-    output: Option<Tensor>,
+    output: Cache<Tensor>,
     /// Cached upstream gradient `∂f/∂P` from the last backward.
     grad_output: Option<Tensor>,
 }
@@ -58,7 +59,7 @@ pub struct SmoothActivation {
 impl SmoothActivation {
     /// Creates the activation layer.
     pub fn new(kind: Smooth) -> Self {
-        SmoothActivation { kind, output: None, grad_output: None }
+        SmoothActivation { kind, output: Cache::new(Tensor::zeros(&[0])), grad_output: None }
     }
 
     /// The nonlinearity in use.
@@ -90,40 +91,39 @@ impl SmoothActivation {
     }
 
     /// The shared forward body: `out` is completely overwritten and the
-    /// cached output copy reuses its previous allocation.
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
-        out.copy_from(input);
-        out.map_inplace(|x| self.apply(x));
-        match &mut self.output {
-            Some(cached) => cached.copy_from(out),
-            slot => *slot = Some(out.clone()),
+    /// cached output copy (skipped by an inference forward) reuses its
+    /// previous allocation.
+    fn forward_out(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) {
+        out.map_from(input, |x| self.apply(x));
+        if let Some(cached) = self.output.refill(mode) {
+            cached.copy_from(out);
         }
         self.grad_output = None; // stale gradients must not leak
     }
 }
 
 impl Layer for SmoothActivation {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
+    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
         let mut out = arena.grab();
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let out = self.output.as_ref().expect("backward called before forward");
+        let out = self.output.get();
         assert_eq!(out.len(), grad_output.len(), "gradient does not match cached forward");
         self.grad_output = Some(grad_output.clone());
         grad_output.zip_map(out, |dy, g| dy * self.derivative(g))
     }
 
     fn second_backward(&mut self, hess_output: &Tensor) -> Tensor {
-        let out = self.output.as_ref().expect("second_backward called before forward");
+        let out = self.output.get();
         assert_eq!(out.len(), hess_output.len(), "hessian does not match cached forward");
         // Gauss–Newton part: g'(I)² · h_P.
         let mut h = hess_output.zip_map(out, |hp, g| {

@@ -42,6 +42,17 @@ struct BnCache {
     mode: Mode,
 }
 
+impl BnCache {
+    /// The state of the last `Train`/`Eval` forward. An `Infer` forward
+    /// still writes x̂ into the cache's buffer (the kernel produces it
+    /// alongside the output) but records its mode, which makes the cache
+    /// stale for the backward passes.
+    fn fresh(cache: &Option<BnCache>) -> &BnCache {
+        let cache = cache.as_ref().filter(|c| c.mode != Mode::Infer);
+        cache.expect("backward called before forward")
+    }
+}
+
 impl BatchNorm2d {
     /// Creates a batch-norm layer over `channels` feature maps.
     ///
@@ -131,7 +142,7 @@ impl BatchNorm2d {
                         + self.momentum * self.batch_var[ch];
                 }
             }
-            Mode::Eval => {
+            Mode::Eval | Mode::Infer => {
                 self.batch_mean.extend_from_slice(&self.running_mean);
                 self.batch_var.extend_from_slice(&self.running_var);
             }
@@ -187,7 +198,7 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward called before forward");
+        let cache = BnCache::fresh(&self.cache);
         let shape = cache.x_hat.shape().to_vec();
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let plane = h * w;
@@ -232,7 +243,7 @@ impl Layer for BatchNorm2d {
                     }
                 }
             }
-            Mode::Eval => {
+            Mode::Eval | Mode::Infer => {
                 // Affine backward: dx = γ·inv_std·dy
                 for (ch, (&g, &inv)) in gamma.iter().zip(&cache.inv_std).enumerate() {
                     let coeff = g * inv;
@@ -249,7 +260,7 @@ impl Layer for BatchNorm2d {
     }
 
     fn second_backward(&mut self, hess_output: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward called before forward");
+        let cache = BnCache::fresh(&self.cache);
         let shape = cache.x_hat.shape().to_vec();
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let plane = h * w;

@@ -1,5 +1,6 @@
 //! 2-D convolution layer, lowered to GEMM through the im2col index math.
 
+use super::Cache;
 use crate::arena::ActivationArena;
 use crate::layer::{Layer, Mode};
 use crate::param::{Param, ParamKind};
@@ -54,7 +55,7 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    cached_input: Option<Tensor>,
+    cached_input: Cache<Tensor>,
 }
 
 impl Conv2d {
@@ -87,7 +88,7 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            cached_input: None,
+            cached_input: Cache::new(Tensor::zeros(&[0])),
         }
     }
 
@@ -111,7 +112,7 @@ impl Conv2d {
     /// Validates the input and writes the convolution into `out`
     /// (completely overwritten) — the shared body of the fresh-allocation
     /// and the arena forward paths.
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
+    fn forward_out(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) {
         assert_eq!(input.rank(), 4, "Conv2d expects [N, C, H, W] input");
         assert_eq!(
             input.shape()[1],
@@ -140,13 +141,11 @@ impl Conv2d {
         });
         // Cache the activation for the backward passes, reusing the
         // previous cache's capacity even when the batch shape changes —
-        // on the eval loop (including its shorter final batch) this is a
-        // copy, not an allocation. (Caching must happen in Eval mode
+        // a copy, not an allocation. (Caching must happen in Eval mode
         // too: the sensitivity pass forwards in `Mode::Eval` and then
-        // runs `second_backward`.)
-        match &mut self.cached_input {
-            Some(cached) => cached.copy_from(input),
-            slot => *slot = Some(input.clone()),
+        // runs `second_backward`; only an inference forward skips it.)
+        if let Some(cached) = self.cached_input.refill(mode) {
+            cached.copy_from(input);
         }
     }
 
@@ -156,9 +155,7 @@ impl Conv2d {
     /// the input gradient is skipped and `None` returned; the parameter
     /// accumulators get the same bytes either way.
     fn backward_impl(&mut self, delta: &Tensor, square: bool, input_grad: bool) -> Option<Tensor> {
-        // Take (not clone) the cached activation; restored before
-        // returning so backward can run again after this pass.
-        let input = self.cached_input.take().expect("backward called before forward");
+        let input = self.cached_input.get();
         let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
         let geom = self.geometry(h, w);
         let (spatial, ck2, nf) = (geom.col_rows(), geom.col_cols(), self.out_channels);
@@ -221,7 +218,6 @@ impl Conv2d {
         for (g, &v) in btarget.data_mut().iter_mut().zip(&bgrad) {
             *g += v;
         }
-        self.cached_input = Some(input);
         grad_input
     }
 }
@@ -250,15 +246,15 @@ fn for_each_image<I: Send>(workers: usize, items: impl Iterator<Item = I>, job: 
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
+    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
         let mut out = arena.grab();
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
@@ -584,8 +580,7 @@ mod tests {
         } = &conv;
         let params =
             [&weight.value, &weight.grad, &weight.hess, &bias.value, &bias.grad, &bias.hess];
-        let held = params.iter().map(|t| t.len()).sum::<usize>()
-            + cached_input.as_ref().map_or(0, Tensor::len);
+        let held = params.iter().map(|t| t.len()).sum::<usize>() + cached_input.get().len();
         assert_eq!(held, 3 * (3 * 2 * 9) + 3 * 3 + small.len());
     }
 

@@ -1,6 +1,6 @@
 //! Flatten layer: `[N, ...] -> [N, prod(...)]`.
 
-use super::remember_shape;
+use super::{remember_shape, Cache};
 use crate::arena::ActivationArena;
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
@@ -12,7 +12,7 @@ use swim_tensor::Tensor;
 /// the cached input shape.
 #[derive(Debug, Clone, Default)]
 pub struct Flatten {
-    input_shape: Option<Vec<usize>>,
+    input_shape: Cache<Vec<usize>>,
 }
 
 impl Flatten {
@@ -22,25 +22,25 @@ impl Flatten {
     }
 
     fn unflatten(&self, upstream: &Tensor) -> Tensor {
-        let shape = self.input_shape.as_ref().expect("backward called before forward");
+        let shape = self.input_shape.get();
         upstream.clone().reshaped(shape)
     }
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         assert!(input.rank() >= 1, "Flatten expects a batched input");
         let n = input.shape()[0];
         let inner: usize = input.shape()[1..].iter().product();
-        remember_shape(&mut self.input_shape, input.shape());
+        remember_shape(&mut self.input_shape, mode, input.shape());
         input.clone().reshaped(&[n, inner])
     }
 
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
+    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
         assert!(input.rank() >= 1, "Flatten expects a batched input");
         let n = input.shape()[0];
         let inner: usize = input.shape()[1..].iter().product();
-        remember_shape(&mut self.input_shape, input.shape());
+        remember_shape(&mut self.input_shape, mode, input.shape());
         let mut out = arena.take(&[n, inner]);
         out.data_mut().copy_from_slice(input.data());
         out

@@ -1,5 +1,6 @@
 //! Fully connected layer.
 
+use super::Cache;
 use crate::arena::ActivationArena;
 use crate::layer::{Layer, Mode};
 use crate::param::{Param, ParamKind};
@@ -35,7 +36,7 @@ pub struct Linear {
     bias: Param,
     in_features: usize,
     out_features: usize,
-    cached_input: Option<Tensor>,
+    cached_input: Cache<Tensor>,
 }
 
 impl Linear {
@@ -54,7 +55,7 @@ impl Linear {
             bias: Param::new("bias", Tensor::zeros(&[out_features]), ParamKind::Digital),
             in_features,
             out_features,
-            cached_input: None,
+            cached_input: Cache::new(Tensor::zeros(&[0])),
         }
     }
 
@@ -73,14 +74,10 @@ impl Linear {
         &self.weight
     }
 
-    fn cached(&self) -> &Tensor {
-        self.cached_input.as_ref().expect("backward called before forward")
-    }
-
     /// The shared forward body: `out` is completely overwritten. Both
     /// the fresh-allocation and the arena path run exactly this, so
     /// their results are bit-identical by construction.
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
+    fn forward_out(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) {
         assert_eq!(input.rank(), 2, "Linear expects [N, in] input");
         assert_eq!(
             input.shape()[1],
@@ -108,31 +105,30 @@ impl Linear {
                 od[row * self.out_features + j] += b;
             }
         }
-        // Cache the activation for the backward passes, reusing the
-        // previous cache's buffer when possible — on the fixed-batch
-        // eval loop this is a copy, not an allocation.
-        match &mut self.cached_input {
-            Some(cached) => cached.copy_from(input),
-            slot => *slot = Some(input.clone()),
+        // Cache the activation for the backward passes (not for an
+        // inference forward), reusing the previous cache's buffer — a
+        // copy, not an allocation, once it has grown to the batch.
+        if let Some(cached) = self.cached_input.refill(mode) {
+            cached.copy_from(input);
         }
     }
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
+    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
         let mut out = arena.grab();
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let x = self.cached().clone();
+        let x = self.cached_input.get().clone();
         // dW[j,i] += Σ_n δ[n,j] x[n,i]  ==  δᵀ · X
         self.weight.grad.add_assign_t(&matmul_at(grad_output, &x));
         self.bias.grad.add_assign_t(&grad_output.sum_axis0());
@@ -141,7 +137,7 @@ impl Layer for Linear {
     }
 
     fn second_backward(&mut self, hess_output: &Tensor) -> Tensor {
-        let x = self.cached();
+        let x = self.cached_input.get();
         let x_sq = x.map(|v| v * v);
         // Eq. 8: h_W[j,i] += Σ_n h_O[n,j] · x[n,i]²
         self.weight.hess.add_assign_t(&matmul_at(hess_output, &x_sq));

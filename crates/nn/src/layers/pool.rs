@@ -1,6 +1,6 @@
 //! Pooling layers: max, average, and global average.
 
-use super::remember_shape;
+use super::{remember_shape, Cache};
 use crate::arena::ActivationArena;
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
@@ -16,8 +16,8 @@ use swim_tensor::Tensor;
 pub struct MaxPool2d {
     window: usize,
     /// For each output element, the flat input index that won the max.
-    argmax: Option<Vec<usize>>,
-    input_shape: Option<Vec<usize>>,
+    argmax: Cache<Vec<usize>>,
+    input_shape: Cache<Vec<usize>>,
 }
 
 impl MaxPool2d {
@@ -29,12 +29,12 @@ impl MaxPool2d {
     /// Panics if `window` is zero.
     pub fn new(window: usize) -> Self {
         assert!(window > 0, "window must be positive");
-        MaxPool2d { window, argmax: None, input_shape: None }
+        MaxPool2d { window, argmax: Cache::default(), input_shape: Cache::default() }
     }
 
     fn route(&self, upstream: &Tensor) -> Tensor {
-        let argmax = self.argmax.as_ref().expect("backward called before forward");
-        let shape = self.input_shape.as_ref().expect("backward called before forward");
+        let argmax = self.argmax.get();
+        let shape = self.input_shape.get();
         assert_eq!(upstream.len(), argmax.len(), "upstream does not match cached forward");
         let mut out = Tensor::zeros(shape);
         let od = out.data_mut();
@@ -45,19 +45,43 @@ impl MaxPool2d {
     }
 
     /// The shared forward body: `out` is completely overwritten and the
-    /// argmax/shape caches reuse their previous allocations.
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
+    /// argmax/shape caches reuse their previous allocations. An `Infer`
+    /// forward records no argmax; its 2×2 windows take a value-only fast
+    /// path with the same comparison order (so the same bits, down to
+    /// which of `±0.0` or a NaN wins).
+    fn forward_out(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) {
         assert_eq!(input.rank(), 4, "MaxPool2d expects [N, C, H, W] input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         let k = self.window;
         assert!(h >= k && w >= k, "window {k} larger than input {h}x{w}");
         let (oh, ow) = (h / k, w / k);
         out.reset_zeroed(&[n, c, oh, ow]);
-        let argmax = self.argmax.get_or_insert_with(Vec::new);
-        argmax.clear();
-        argmax.resize(n * c * oh * ow, 0);
+        remember_shape(&mut self.input_shape, mode, input.shape());
         let id = input.data();
         let od = out.data_mut();
+        let mut argmax = self.argmax.refill(mode);
+        if argmax.is_none() && k == 2 {
+            for (plane, out_plane) in id.chunks_exact(h * w).zip(od.chunks_exact_mut(oh * ow)) {
+                for (rows, out_row) in plane.chunks_exact(2 * w).zip(out_plane.chunks_exact_mut(ow))
+                {
+                    let (top, bottom) = rows.split_at(w);
+                    for (ox, o) in out_row.iter_mut().enumerate() {
+                        let mut best = top[2 * ox];
+                        for v in [top[2 * ox + 1], bottom[2 * ox], bottom[2 * ox + 1]] {
+                            if v > best {
+                                best = v;
+                            }
+                        }
+                        *o = best;
+                    }
+                }
+            }
+            return;
+        }
+        if let Some(argmax) = argmax.as_deref_mut() {
+            argmax.clear();
+            argmax.resize(n * c * oh * ow, 0);
+        }
         let mut o = 0usize;
         for item in 0..n {
             for ch in 0..c {
@@ -76,26 +100,27 @@ impl MaxPool2d {
                             }
                         }
                         od[o] = best;
-                        argmax[o] = best_idx;
+                        if let Some(argmax) = argmax.as_deref_mut() {
+                            argmax[o] = best_idx;
+                        }
                         o += 1;
                     }
                 }
             }
         }
-        remember_shape(&mut self.input_shape, input.shape());
     }
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
+    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
         let mut out = arena.grab();
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
@@ -125,7 +150,7 @@ impl Layer for MaxPool2d {
 #[derive(Debug, Clone)]
 pub struct AvgPool2d {
     window: usize,
-    input_shape: Option<Vec<usize>>,
+    input_shape: Cache<Vec<usize>>,
 }
 
 impl AvgPool2d {
@@ -137,11 +162,11 @@ impl AvgPool2d {
     /// Panics if `window` is zero.
     pub fn new(window: usize) -> Self {
         assert!(window > 0, "window must be positive");
-        AvgPool2d { window, input_shape: None }
+        AvgPool2d { window, input_shape: Cache::default() }
     }
 
     fn spread(&self, upstream: &Tensor, coeff: f32) -> Tensor {
-        let shape = self.input_shape.as_ref().expect("backward called before forward");
+        let shape = self.input_shape.get();
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let k = self.window;
         let (oh, ow) = (h / k, w / k);
@@ -170,7 +195,7 @@ impl AvgPool2d {
     }
 
     /// The shared forward body: `out` is completely overwritten.
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
+    fn forward_out(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) {
         assert_eq!(input.rank(), 4, "AvgPool2d expects [N, C, H, W] input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         let k = self.window;
@@ -198,20 +223,20 @@ impl AvgPool2d {
                 }
             }
         }
-        remember_shape(&mut self.input_shape, input.shape());
+        remember_shape(&mut self.input_shape, mode, input.shape());
     }
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
+    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
         let mut out = arena.grab();
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
@@ -241,7 +266,7 @@ impl Layer for AvgPool2d {
 /// map followed by a flatten; used by ResNet heads.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool {
-    input_shape: Option<Vec<usize>>,
+    input_shape: Cache<Vec<usize>>,
 }
 
 impl GlobalAvgPool {
@@ -251,7 +276,7 @@ impl GlobalAvgPool {
     }
 
     fn spread(&self, upstream: &Tensor, square: bool) -> Tensor {
-        let shape = self.input_shape.as_ref().expect("backward called before forward");
+        let shape = self.input_shape.get();
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         assert_eq!(upstream.len(), n * c, "upstream does not match cached forward");
         let lin = 1.0 / (h * w) as f32;
@@ -271,7 +296,7 @@ impl GlobalAvgPool {
     }
 
     /// The shared forward body: `out` is completely overwritten.
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
+    fn forward_out(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) {
         assert_eq!(input.rank(), 4, "GlobalAvgPool expects [N, C, H, W] input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         let inv = 1.0 / (h * w) as f32;
@@ -284,20 +309,20 @@ impl GlobalAvgPool {
                 od[item * c + ch] = id[plane..plane + h * w].iter().sum::<f32>() * inv;
             }
         }
-        remember_shape(&mut self.input_shape, input.shape());
+        remember_shape(&mut self.input_shape, mode, input.shape());
     }
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
+    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
         let mut out = arena.grab();
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 

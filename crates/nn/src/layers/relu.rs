@@ -1,5 +1,6 @@
 //! ReLU activation.
 
+use super::Cache;
 use crate::arena::ActivationArena;
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
@@ -14,7 +15,7 @@ use swim_tensor::Tensor;
 /// exactly like the gradient.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    mask: Option<Vec<bool>>,
+    mask: Cache<Vec<bool>>,
 }
 
 impl Relu {
@@ -23,36 +24,38 @@ impl Relu {
         Relu::default()
     }
 
-    fn mask(&self) -> &[bool] {
-        self.mask.as_deref().expect("backward called before forward")
-    }
-
-    /// The shared forward body: `out` is completely overwritten and the
-    /// active-input mask buffer is refilled in place (no allocation once
-    /// both have grown to the activation size).
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
-        let mask = self.mask.get_or_insert_with(Vec::new);
-        mask.clear();
-        out.copy_from(input);
-        simd::relu_forward_inplace(out.data_mut(), mask);
+    /// The shared forward body: `out` is completely overwritten. A
+    /// `Train`/`Eval` forward refills the active-input mask in place (no
+    /// allocation once both have grown to the activation size); an
+    /// `Infer` forward is one `max(x, 0)` pass with the same bits (NaN
+    /// and `-0.0` map to `+0.0`) and no mask.
+    fn forward_out(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) {
+        match self.mask.refill(mode) {
+            Some(mask) => {
+                mask.clear();
+                out.copy_from(input);
+                simd::relu_forward_inplace(out.data_mut(), mask);
+            }
+            None => out.map_from(input, |v| if v > 0.0 { v } else { 0.0 }),
+        }
     }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
+    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
         let mut out = arena.grab();
-        self.forward_out(input, &mut out);
+        self.forward_out(input, mode, &mut out);
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mask = self.mask();
+        let mask = self.mask.get();
         assert_eq!(mask.len(), grad_output.len(), "gradient does not match cached input");
         let mut out = grad_output.clone();
         simd::relu_apply_mask(out.data_mut(), mask);
@@ -60,7 +63,7 @@ impl Layer for Relu {
     }
 
     fn second_backward(&mut self, hess_output: &Tensor) -> Tensor {
-        let mask = self.mask();
+        let mask = self.mask.get();
         assert_eq!(mask.len(), hess_output.len(), "hessian does not match cached input");
         let mut out = hess_output.clone();
         simd::relu_apply_mask(out.data_mut(), mask);

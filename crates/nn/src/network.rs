@@ -245,12 +245,14 @@ impl Network {
 
     // ------------------------------------------------------------- metrics
 
-    /// Class predictions (row argmax of the logits).
+    /// Class predictions (row argmax of the logits), from an
+    /// [`Mode::Infer`] forward: no backward caches are kept.
     pub fn predict(&mut self, input: &Tensor) -> Vec<usize> {
-        self.forward(input, Mode::Eval).argmax_rows()
+        self.forward(input, Mode::Infer).argmax_rows()
     }
 
-    /// Classification accuracy in `[0, 1]`, evaluated in mini-batches.
+    /// Classification accuracy in `[0, 1]`, evaluated in mini-batches
+    /// of [`Mode::Infer`] forwards.
     ///
     /// # Panics
     ///
@@ -278,7 +280,8 @@ impl Network {
     /// [`Network::accuracy`] with every working buffer (batch slice,
     /// activations) recycled through `arena` — the Monte Carlo eval
     /// loop's zero-allocation scoring path. Results are bit-identical to
-    /// [`Network::accuracy`].
+    /// [`Network::accuracy`]; the forwards run in [`Mode::Infer`], so
+    /// scoring a chip copies no activations for a backward pass.
     ///
     /// # Panics
     ///
@@ -303,7 +306,7 @@ impl Network {
         while start < n {
             let end = (start + batch_size).min(n);
             images.slice_axis0_into(start, end, &mut batch);
-            let logits = self.forward_with(&batch, Mode::Eval, arena);
+            let logits = self.forward_with(&batch, Mode::Infer, arena);
             // Row argmax compared against the label in place — exactly
             // `Tensor::argmax_rows` (first maximum wins) without the
             // per-batch index vector.

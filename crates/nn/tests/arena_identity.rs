@@ -1,12 +1,17 @@
-//! Bit-identity of the arena-backed forward path.
+//! Bit-identity of the arena-backed forward path and of the inference
+//! forward.
 //!
 //! The hard invariant of the activation arena is that
 //! `Layer::forward_into` produces *bit-identical* outputs to the
 //! fresh-allocation `Layer::forward` — for every built-in layer type, in
-//! both `Mode::Train` and `Mode::Eval` — and that the backward passes
-//! after an arena forward see exactly the cached activations they would
-//! have seen after a fresh forward (same input gradients, same parameter
-//! gradient/Hessian accumulators).
+//! `Mode::Train`, `Mode::Eval` and `Mode::Infer` — and that the backward
+//! passes after an arena forward see exactly the cached activations they
+//! would have seen after a fresh forward (same input gradients, same
+//! parameter gradient/Hessian accumulators).
+//!
+//! `Mode::Infer` must compute the `Mode::Eval` output bit for bit while
+//! keeping no backward caches: a backward after it panics instead of
+//! reading an older batch.
 
 use swim_nn::arena::ActivationArena;
 use swim_nn::layer::{Layer, Mode};
@@ -14,8 +19,13 @@ use swim_nn::layers::{
     ActQuant, AvgPool2d, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu,
     Residual, Sequential, Smooth, SmoothActivation,
 };
+use swim_nn::models::{ConvNetConfig, LeNetConfig, ResNet18Config};
 use swim_nn::network::Network;
 use swim_tensor::{Prng, Tensor};
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
 
 /// Collects every parameter's gradient and Hessian accumulator.
 fn param_state(layer: &mut dyn Layer) -> Vec<(Vec<f32>, Vec<f32>)> {
@@ -62,10 +72,30 @@ fn assert_bit_identical(fresh: &mut dyn Layer, input: &Tensor, mode: Mode, label
     assert_eq!(fresh_params, arena_params, "{label}: parameter grad/hess");
 }
 
+/// `Mode::Infer` on both forward paths, three passes each (warm caches
+/// and arena), against an `Eval` forward of an identical clone: the same
+/// bits every time.
+fn assert_infer_matches_eval(layer: &dyn Layer, input: &Tensor, label: &str) {
+    let mut eval = layer.clone_layer();
+    let mut fresh = layer.clone_layer();
+    let mut pooled = layer.clone_layer();
+    let mut arena = ActivationArena::new();
+    for pass in 0..3 {
+        let want = eval.forward(input, Mode::Eval);
+        let got = fresh.forward(input, Mode::Infer);
+        assert_eq!(got.shape(), want.shape(), "{label}: infer shape, pass {pass}");
+        assert_eq!(bits(&got), bits(&want), "{label}: infer forward, pass {pass}");
+        let got = pooled.forward_into(input, Mode::Infer, &mut arena);
+        assert_eq!(bits(&got), bits(&want), "{label}: infer forward_into, pass {pass}");
+        arena.recycle(got);
+    }
+}
+
 fn both_modes(mut layer: Box<dyn Layer>, input: &Tensor, label: &str) {
     for mode in [Mode::Train, Mode::Eval] {
         assert_bit_identical(layer.as_mut(), input, mode, &format!("{label}/{mode:?}"));
     }
+    assert_infer_matches_eval(layer.as_ref(), input, &format!("{label}/Infer"));
 }
 
 #[test]
@@ -93,6 +123,9 @@ fn relu_is_bit_identical() {
     let mut rng = Prng::seed_from_u64(3);
     let x = Tensor::randn(&[4, 9], &mut rng);
     both_modes(Box::new(Relu::new()), &x, "ReLU");
+    let specials = [0.0f32, -0.0, f32::NAN, -1.0, 2.5, f32::NEG_INFINITY, f32::INFINITY, 1e-40];
+    let soup = Tensor::from_fn(&[3, 8], |i| specials[i * 5 % specials.len()]);
+    assert_infer_matches_eval(&Relu::new(), &soup, "ReLU/specials");
 }
 
 #[test]
@@ -108,6 +141,15 @@ fn pools_are_bit_identical() {
     let mut rng = Prng::seed_from_u64(5);
     let x = Tensor::randn(&[2, 3, 6, 6], &mut rng);
     both_modes(Box::new(MaxPool2d::new(2)), &x, "MaxPool2d");
+    // Odd sides (truncated windows) and the general window.
+    let odd = Tensor::randn(&[2, 2, 7, 5], &mut rng);
+    both_modes(Box::new(MaxPool2d::new(2)), &odd, "MaxPool2d/odd");
+    both_modes(Box::new(MaxPool2d::new(3)), &x, "MaxPool2d/3x3");
+    // Ties, signed zeros, NaN and infinities: the 2×2 inference fast
+    // path must keep the general loop's first-wins comparison order.
+    let specials = [0.0f32, -0.0, f32::NAN, 1.0, 1.0, f32::NEG_INFINITY, -0.0, 0.0, f32::INFINITY];
+    let soup = Tensor::from_fn(&[2, 3, 6, 6], |i| specials[i * 7 % specials.len()]);
+    assert_infer_matches_eval(&MaxPool2d::new(2), &soup, "MaxPool2d/specials");
     both_modes(Box::new(AvgPool2d::new(3)), &x, "AvgPool2d");
     both_modes(Box::new(GlobalAvgPool::new()), &x, "GlobalAvgPool");
 }
@@ -250,4 +292,82 @@ fn default_shim_keeps_exotic_layers_working() {
     let via_arena = seq.forward_into(&x, Mode::Eval, &mut arena);
     let fresh = seq.forward(&x, Mode::Eval);
     assert_eq!(via_arena.data(), fresh.data());
+}
+
+/// The Monte Carlo scoring path (`accuracy_with`, now an `Infer`
+/// forward) against `Eval` logits on the three model families: the same
+/// logits bit for bit, so the same accuracy.
+#[test]
+fn infer_accuracy_matches_eval_on_the_model_zoo() {
+    let mut rng = Prng::seed_from_u64(13);
+    let models = [
+        (LeNetConfig::default().build(1), vec![1, 28, 28]),
+        (ConvNetConfig::reduced(0.25).build(2), vec![3, 32, 32]),
+        (ResNet18Config::reduced(0.125).build(3), vec![3, 32, 32]),
+    ];
+    for (mut net, image) in models {
+        let n = 7;
+        let images = Tensor::randn(&[&[n][..], &image[..]].concat(), &mut rng);
+        let logits = net.forward(&images, Mode::Eval);
+        let classes = logits.shape()[1];
+        let labels: Vec<usize> = (0..n).map(|i| i * 3 % classes).collect();
+        let mut eval = net.clone();
+        let mut infer = net.clone();
+        assert_eq!(
+            bits(&infer.forward(&images, Mode::Infer)),
+            bits(&eval.forward(&images, Mode::Eval)),
+            "{}: logits",
+            net.name()
+        );
+        let preds = logits.argmax_rows();
+        let want = preds.iter().zip(&labels).filter(|(p, l)| p == l).count() as f64 / n as f64;
+        let mut arena = ActivationArena::new();
+        for batch in [3usize, n] {
+            let got = infer.accuracy_with(&images, &labels, batch, &mut arena);
+            assert_eq!(got, want, "{}: accuracy_with, batch {batch}", net.name());
+            assert_eq!(infer.accuracy(&images, &labels, batch), want, "{}: accuracy", net.name());
+        }
+        assert_eq!(infer.predict(&images), preds, "{}: predict", net.name());
+    }
+}
+
+/// A backward pass after `Train` → `Infer` must panic, not read the
+/// training batch's caches; a later `Eval` forward makes it work again.
+#[test]
+fn backward_after_infer_panics() {
+    let mut rng = Prng::seed_from_u64(14);
+    let image = Tensor::randn(&[2, 2, 6, 6], &mut rng);
+    let flat = Tensor::randn(&[2, 5], &mut rng);
+    let layers: Vec<(Box<dyn Layer>, &Tensor)> = vec![
+        (Box::new(Conv2d::new(2, 3, 3, 1, 1, &mut rng)), &image),
+        (Box::new(Linear::new(5, 4, &mut rng)), &flat),
+        (Box::new(Relu::new()), &image),
+        (Box::new(MaxPool2d::new(2)), &image),
+    ];
+    for (mut layer, x) in layers {
+        let label = layer.describe();
+        let upstream = layer.forward(x, Mode::Train);
+        layer.backward(&upstream);
+        layer.forward(x, Mode::Infer);
+        for second in [false, true] {
+            let mut probe = layer.clone_layer();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if second {
+                    probe.second_backward(&upstream);
+                } else {
+                    probe.backward(&upstream);
+                }
+            }));
+            let payload = result.expect_err(&format!("{label}: backward after Infer returned"));
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(message.contains("backward called before forward"), "{label}: {message}");
+        }
+        layer.forward(x, Mode::Eval);
+        layer.backward(&upstream);
+        layer.second_backward(&upstream);
+    }
 }

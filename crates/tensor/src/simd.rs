@@ -36,9 +36,6 @@
 //!   rounding of the fake-quant paths ([`SimdLane::round_ties_away`]
 //!   emulates `f32::round` exactly on backends whose native rounding is
 //!   ties-to-even).
-//! * **The device-programming kernel ([`scale_add_f64`]) is
-//!   bit-identical across backends**: `target + sigma * z` with an
-//!   explicit multiply then add, never an FMA, in stream order.
 //! * **GEMM drifts within [`GEMM_DRIFT_TOL`].** The vector microkernels
 //!   accumulate `LANES` columns in parallel with fused multiply-adds;
 //!   each output element still sums in strictly increasing `k` order,
@@ -702,51 +699,6 @@ mod x86 {
         fake_quant_unsigned_avx512,
         Avx512Lane
     );
-
-    /// `inout[i] = targets[i] + sigma * inout[i]`, 4 × `f64` lanes,
-    /// explicit multiply then add (no FMA contraction).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_add_f64_avx2(targets: &[f64], sigma: f64, inout: &mut [f64]) {
-        let n = inout.len();
-        let tp = targets.as_ptr();
-        let op = inout.as_mut_ptr();
-        unsafe {
-            let s = _mm256_set1_pd(sigma);
-            let mut i = 0;
-            while i + 4 <= n {
-                let z = _mm256_loadu_pd(op.add(i));
-                let t = _mm256_loadu_pd(tp.add(i));
-                _mm256_storeu_pd(op.add(i), _mm256_add_pd(t, _mm256_mul_pd(s, z)));
-                i += 4;
-            }
-            while i < n {
-                *op.add(i) = *tp.add(i) + sigma * *op.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// `inout[i] = targets[i] + sigma * inout[i]`, 8 × `f64` lanes.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn scale_add_f64_avx512(targets: &[f64], sigma: f64, inout: &mut [f64]) {
-        let n = inout.len();
-        let tp = targets.as_ptr();
-        let op = inout.as_mut_ptr();
-        unsafe {
-            let s = _mm512_set1_pd(sigma);
-            let mut i = 0;
-            while i + 8 <= n {
-                let z = _mm512_loadu_pd(op.add(i));
-                let t = _mm512_loadu_pd(tp.add(i));
-                _mm512_storeu_pd(op.add(i), _mm512_add_pd(t, _mm512_mul_pd(s, z)));
-                i += 8;
-            }
-            while i < n {
-                *op.add(i) = *tp.add(i) + sigma * *op.add(i);
-                i += 1;
-            }
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -859,29 +811,6 @@ mod neon {
     #[target_feature(enable = "neon")]
     pub unsafe fn fake_quant_unsigned_neon(x: &mut [f32], scale: f32, levels: f32) {
         unsafe { fake_quant_unsigned_body::<NeonLane>(x, scale, levels) }
-    }
-
-    /// `inout[i] = targets[i] + sigma * inout[i]`, 2 × `f64` lanes,
-    /// explicit multiply then add (no FMA contraction).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn scale_add_f64_neon(targets: &[f64], sigma: f64, inout: &mut [f64]) {
-        let n = inout.len();
-        let tp = targets.as_ptr();
-        let op = inout.as_mut_ptr();
-        unsafe {
-            let s = vdupq_n_f64(sigma);
-            let mut i = 0;
-            while i + 2 <= n {
-                let z = vld1q_f64(op.add(i));
-                let t = vld1q_f64(tp.add(i));
-                vst1q_f64(op.add(i), vaddq_f64(t, vmulq_f64(s, z)));
-                i += 2;
-            }
-            while i < n {
-                *op.add(i) = *tp.add(i) + sigma * *op.add(i);
-                i += 1;
-            }
-        }
     }
 }
 
@@ -1009,34 +938,6 @@ pub fn fake_quant_unsigned_inplace(x: &mut [f32], scale: f32, levels: f32) {
         unsafe { x86::fake_quant_unsigned_avx2(x, scale, levels) },
         unsafe { x86::fake_quant_unsigned_avx512(x, scale, levels) },
         unsafe { neon::fake_quant_unsigned_neon(x, scale, levels) }
-    )
-}
-
-fn scale_add_f64_scalar(targets: &[f64], sigma: f64, inout: &mut [f64]) {
-    for (o, &t) in inout.iter_mut().zip(targets) {
-        *o = t + sigma * *o;
-    }
-}
-
-/// Device-programming kernel: `inout[i] = targets[i] + sigma *
-/// inout[i]`, where `inout` holds pre-drawn standard-normal samples on
-/// entry and the programmed conductances on exit.
-///
-/// Bit-identical across backends: the multiply and add round separately
-/// (never an FMA), matching `Prng::normal(target, sigma)` which returns
-/// exactly `target + sigma * z`.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[allow(unused_variables)]
-pub fn scale_add_f64(targets: &[f64], sigma: f64, inout: &mut [f64]) {
-    assert_eq!(targets.len(), inout.len(), "scale_add_f64: length mismatch");
-    dispatch!(
-        scale_add_f64_scalar(targets, sigma, inout),
-        unsafe { x86::scale_add_f64_avx2(targets, sigma, inout) },
-        unsafe { x86::scale_add_f64_avx512(targets, sigma, inout) },
-        unsafe { neon::scale_add_f64_neon(targets, sigma, inout) }
     )
 }
 
@@ -1192,19 +1093,6 @@ mod tests {
             assert_eq!(bits(&got.4), bits(&reference.4), "fake quant unsigned, backend {b}");
             assert_eq!(bits(&got.5), bits(&reference.5), "batchnorm x_hat, backend {b}");
             assert_eq!(bits(&got.6), bits(&reference.6), "batchnorm out, backend {b}");
-        }
-    }
-
-    #[test]
-    fn scale_add_f64_bit_identical_across_backends() {
-        let targets: Vec<f64> = (0..37).map(|i| i as f64 * 0.71 - 11.0).collect();
-        let zs: Vec<f64> = (0..37).map(|i| (i as f64 * 1.37).sin()).collect();
-        let reference: Vec<f64> = targets.iter().zip(&zs).map(|(&t, &z)| t + 0.1 * z).collect();
-        for b in available_backends() {
-            let mut inout = zs.clone();
-            with_backend(b, || scale_add_f64(&targets, 0.1, &mut inout)).unwrap();
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&inout), bits(&reference), "backend {b}");
         }
     }
 }

@@ -214,6 +214,15 @@ impl Tensor {
         self.data.extend_from_slice(&other.data);
     }
 
+    /// Makes this tensor `f` applied to every element of `other` (shape
+    /// and data) in one pass, reusing the existing allocations when
+    /// capacity suffices.
+    pub fn map_from(&mut self, other: &Tensor, f: impl Fn(f32) -> f32) {
+        self.shape.set_dims(other.shape());
+        self.data.clear();
+        self.data.extend(other.data.iter().map(|&x| f(x)));
+    }
+
     // ------------------------------------------------------- elementwise ops
 
     /// Applies `f` to every element, returning a new tensor.

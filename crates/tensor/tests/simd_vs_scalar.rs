@@ -2,8 +2,7 @@
 //! vector backend the host can run is compared against the scalar
 //! reference on the same inputs.
 //!
-//! * **Elementwise kernels and the device-programming kernel must be
-//!   bit-identical** to scalar — including NaN, ±∞, signed zeros, and
+//! * **Elementwise kernels must be bit-identical** to scalar — including NaN, ±∞, signed zeros, and
 //!   subnormals, and on every lane-remainder length.
 //! * **GEMM may drift within [`GEMM_DRIFT_TOL`]** (the vector
 //!   microkernels fuse multiply-adds; accumulation order is unchanged),
@@ -19,8 +18,8 @@ use proptest::prelude::*;
 use swim_tensor::linalg::{matmul, matmul_at, matmul_bt, matmul_with_threads};
 use swim_tensor::simd::{
     available_backends, batchnorm_normalize, fake_quant_signed_inplace,
-    fake_quant_unsigned_inplace, relu_apply_mask, relu_forward_inplace, scale_add_f64,
-    with_backend, Backend, GEMM_DRIFT_TOL,
+    fake_quant_unsigned_inplace, relu_apply_mask, relu_forward_inplace, with_backend, Backend,
+    GEMM_DRIFT_TOL,
 };
 use swim_tensor::{Prng, Tensor};
 
@@ -44,10 +43,6 @@ fn assert_gemm_close(got: &Tensor, want: &Tensor, context: &str) {
 }
 
 fn bits32(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-fn bits64(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
@@ -118,30 +113,6 @@ fn elementwise_kernels_bit_identical_on_every_edge_length() {
             assert_eq!(bits32(&got.4), bits32(&reference.4), "fq unsigned, len {len}, backend {b}");
             assert_eq!(bits32(&got.5), bits32(&reference.5), "bn x_hat, len {len}, backend {b}");
             assert_eq!(bits32(&got.6), bits32(&reference.6), "bn out, len {len}, backend {b}");
-        }
-    }
-}
-
-#[test]
-fn scale_add_f64_bit_identical_on_every_edge_length() {
-    for &len in &EDGE_LENGTHS {
-        let targets: Vec<f64> = (0..len).map(|i| (i as f64 * 0.83).cos() * 7.0).collect();
-        let zs: Vec<f64> = (0..len)
-            .map(|i| match i % 9 {
-                7 => f64::INFINITY,
-                8 => f64::NAN,
-                _ => (i as f64 * 1.31).sin() * 3.0,
-            })
-            .collect();
-        let reference = {
-            let mut inout = zs.clone();
-            with_backend(Backend::Scalar, || scale_add_f64(&targets, 0.07, &mut inout)).unwrap();
-            inout
-        };
-        for b in available_backends() {
-            let mut inout = zs.clone();
-            with_backend(b, || scale_add_f64(&targets, 0.07, &mut inout)).unwrap();
-            assert_eq!(bits64(&inout), bits64(&reference), "len {len}, backend {b}");
         }
     }
 }
@@ -263,24 +234,6 @@ proptest! {
         }
     }
 
-    /// The device-programming kernel is exactly `t + sigma * z` per
-    /// element on every backend.
-    #[test]
-    fn prop_scale_add_f64_bit_identical(
-        len in 0usize..150,
-        seed in 0u64..1000,
-        sigma in 0.0f64..0.5,
-    ) {
-        let mut rng = Prng::seed_from_u64(seed);
-        let targets: Vec<f64> = (0..len).map(|_| rng.normal(0.0, 5.0)).collect();
-        let zs: Vec<f64> = (0..len).map(|_| rng.normal(0.0, 1.0)).collect();
-        let want: Vec<f64> = targets.iter().zip(&zs).map(|(&t, &z)| t + sigma * z).collect();
-        for b in available_backends() {
-            let mut inout = zs.clone();
-            with_backend(b, || scale_add_f64(&targets, sigma, &mut inout)).unwrap();
-            assert_eq!(bits64(&inout), bits64(&want), "backend {b}");
-        }
-    }
 }
 
 /// A backend or tuning override is scoped to the thread that sets it.
