@@ -18,7 +18,7 @@
 //! `examples/specs/`) — or a results document, whose embedded spec echo
 //! is extracted and re-run; `swim preset` resolves a named paper
 //! artifact (`table1`, `fig2a`, …) to its spec and runs it. Both accept
-//! `--set key=value` overrides, the classic flags (`--runs 25 --quick
+//! `--set key=value` overrides, shorthand flags (`--runs 25 --quick
 //! --csv`), and `--out FILE` to write the JSON results document.
 //!
 //! Long experiments survive crashes and spread across machines:
@@ -76,10 +76,9 @@ fn usage() {
     println!("  --quick           preset smoke-test shape (presets only)");
     println!("  --runs N / --samples N / --epochs N / --seed N / --threads N");
     println!("                    shorthand spec overrides (same as --set)");
-    println!("  --gemm-threads N  threads inside each matrix product (never in the spec)");
-    println!("  --gemm-block N / --gemm-min-flops N");
-    println!("                    deprecated kernel-knob aliases (use the spec's [tune]");
-    println!("                    section or SWIM_TUNE_BLOCK / SWIM_TUNE_MIN_FLOPS)");
+    println!("  --gemm-threads N  threads inside each matrix product (never in the spec;");
+    println!("                    block width and threshold: the spec's [tune] section or");
+    println!("                    SWIM_TUNE_BLOCK / SWIM_TUNE_MIN_FLOPS)");
     println!("  --simd BACKEND    pin the SIMD kernel backend (scalar, avx2, avx512, neon;");
     println!("                    shorthand for --set simd=BACKEND — recorded in the spec");
     println!("                    echo; `swim list` shows this host's backends)");
@@ -551,11 +550,8 @@ fn main() {
         "plot" => cmd_plot(raw),
         "summarize" => cmd_summarize(raw),
         "serve" => {
-            let (positionals, rest) = split_positionals(
-                raw,
-                &[],
-                &["addr", "workers", "queue-cap", "gemm-threads", "gemm-block", "gemm-min-flops"],
-            );
+            let (positionals, rest) =
+                split_positionals(raw, &[], &["addr", "workers", "queue-cap", "gemm-threads"]);
             if !positionals.is_empty() {
                 fail("`swim serve` takes flags only (see `swim help`)");
             }

@@ -1,9 +1,9 @@
 //! Minimal `--flag value` / `--flag=value` argument parsing for the
-//! experiment binaries.
+//! `swim` CLI.
 //!
 //! Hand-rolled (a few dozen lines) rather than pulling in an
-//! argument-parsing dependency; every binary shares the same small flag
-//! set. Stray positional arguments are an error — `swim`-style
+//! argument-parsing dependency; every subcommand shares the same small
+//! flag set. Stray positional arguments are an error — `swim`-style
 //! subcommands consume their positionals *before* handing the rest to
 //! [`Args::try_parse_from`].
 
@@ -35,20 +35,7 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the process arguments (skipping the binary name), exiting
-    /// with status 2 on malformed input.
-    pub fn parse() -> Self {
-        match Self::try_parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(message) => {
-                eprintln!("error: {message}");
-                eprintln!("(pass --help for the flag reference)");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses from an explicit iterator (testable entry point).
+    /// Parses the flags in `args`.
     ///
     /// Accepts both `--name value` and `--name=value`; a `--name` with
     /// no value is a boolean flag. Positional arguments are an error.
@@ -103,7 +90,7 @@ impl Args {
     }
 
     /// `--name value` as `usize`, with default. Malformed values are an
-    /// error (the binaries report it and exit 2), not a panic.
+    /// error (`swim` reports it and exits 2), not a panic.
     pub fn get_usize(&self, name: &str, default: usize) -> Result<usize, String> {
         match self.values.get(name) {
             Some(v) => v.parse().map_err(|_| format!("--{name} expects an integer, got `{v}`")),
@@ -133,46 +120,6 @@ impl Args {
     }
 }
 
-/// The standard flag reference shared by the experiment binaries.
-///
-/// The printed `--gemm-min-flops` default is the *resolved* threshold
-/// ([`swim_tensor::linalg::PARALLEL_MIN_FLOPS`]), the same value
-/// [`tuning_from_flags`] resolves when nothing pins the knob.
-pub fn common_help_text(binary: &str, extra: &[(&str, &str)]) -> String {
-    let mut out = String::new();
-    let mut line = |s: String| {
-        out.push_str(&s);
-        out.push('\n');
-    };
-    line(format!("usage: cargo run --release -p swim-bench --bin {binary} [flags]"));
-    line("  --runs N      Monte Carlo runs (default varies; paper used 3000)".into());
-    line("  --threads N   Monte Carlo worker threads (default: all cores)".into());
-    line("  --gemm-threads N  threads inside each matrix product (default: 1 when".into());
-    line("                the Monte Carlo level is already parallel, else all cores)".into());
-    line("  --gemm-block N    [deprecated: use [tune] / SWIM_TUNE_BLOCK] GEMM".into());
-    line("                cache-block width in columns (default: auto)".into());
-    line("  --gemm-min-flops N  [deprecated: use [tune] / SWIM_TUNE_MIN_FLOPS]".into());
-    line("                multiply count above which a product goes".into());
-    line(format!(
-        "                multithreaded (default {} = 2^22; 1 = always)",
-        swim_tensor::linalg::PARALLEL_MIN_FLOPS
-    ));
-    line("  --samples N   dataset size (train+test)".into());
-    line("  --seed N      base RNG seed".into());
-    line("  --csv         also print CSV blocks".into());
-    line("  --out FILE    write a JSON results document".into());
-    line("  --quick       tiny smoke-test configuration".into());
-    for (flag, desc) in extra {
-        line(format!("  {flag:<13} {desc}"));
-    }
-    out
-}
-
-/// Prints the standard flag reference shared by the experiment binaries.
-pub fn print_common_help(binary: &str, extra: &[(&str, &str)]) {
-    print!("{}", common_help_text(binary, extra));
-}
-
 /// Resolves the kernel pins from the environment and the command line —
 /// the env and CLI layers of the precedence chain (spec `[tune]` > CLI
 /// flags > environment > built-in default; the spec layer is overlaid
@@ -184,31 +131,15 @@ pub fn print_common_help(binary: &str, extra: &[(&str, &str)]) {
 /// serial in that case and lets GEMM use every core otherwise
 /// (single-run phases like training and sensitivity analysis). Every
 /// knob here is a pure performance setting — results are bit-identical
-/// for every value.
-///
-/// `--gemm-block` and `--gemm-min-flops` are deprecated aliases for
-/// the corresponding [`swim_tensor::tune::KernelTuning`] pins and warn on stderr (still
-/// honored — scripts keep working).
+/// for every value. The block width and threading threshold have no
+/// flag: pin them in the spec's `[tune]` section or the `SWIM_TUNE_*`
+/// variables.
 pub fn tuning_from_flags(
     args: &Args,
     mc_threads: usize,
 ) -> Result<swim_tensor::tune::KernelTuning, String> {
     let mut t = swim_tensor::tune::KernelTuning::from_env()?;
     t.gemm_threads = args.get_usize("gemm-threads", if mc_threads > 1 { 1 } else { 0 })?;
-    if args.get("gemm-block").is_some() {
-        eprintln!(
-            "[swim] --gemm-block is deprecated (still honored); use `--set tune.gemm_block=N`, \
-             the spec's [tune] section, or SWIM_TUNE_BLOCK"
-        );
-        t.gemm_block_cols = args.get_usize("gemm-block", 0)?;
-    }
-    if args.get("gemm-min-flops").is_some() {
-        eprintln!(
-            "[swim] --gemm-min-flops is deprecated (still honored); use \
-             `--set tune.gemm_min_flops=N`, the spec's [tune] section, or SWIM_TUNE_MIN_FLOPS"
-        );
-        t.gemm_min_flops = args.get_usize("gemm-min-flops", 0)?;
-    }
     Ok(t)
 }
 
@@ -286,18 +217,18 @@ mod tests {
     }
 
     #[test]
-    fn help_advertises_resolved_gemm_min_flops_default() {
-        let help = common_help_text("table1", &[]);
-        let expect = format!("default {} = 2^22", swim_tensor::linalg::PARALLEL_MIN_FLOPS);
-        assert!(help.contains(&expect), "help says: {help}");
-    }
-
-    #[test]
     fn tuning_flags_resolve_into_kernel_tuning() {
         let args = parse(&["--gemm-block", "128", "--gemm-threads", "3"]);
         let t = tuning_from_flags(&args, 1).unwrap();
-        assert_eq!(t.gemm_block_cols, 128, "deprecated alias still honored");
         assert_eq!(t.gemm_threads, 3);
+        // The block width and threshold come from the environment layer
+        // only: the removed `--gemm-block` alias is no pin here (the spec
+        // layer rejects it as an unknown key).
+        let env = swim_tensor::tune::KernelTuning::from_env().unwrap();
+        assert_eq!(
+            (t.gemm_block_cols, t.gemm_min_flops),
+            (env.gemm_block_cols, env.gemm_min_flops)
+        );
         // Defaults: serial GEMM under a parallel Monte Carlo level,
         // every core otherwise.
         assert_eq!(tuning_from_flags(&parse(&[]), 8).unwrap().gemm_threads, 1);
@@ -309,14 +240,13 @@ mod tests {
 
     #[test]
     fn gemm_flag_default_matches_advertised_value() {
-        use swim_tensor::tune::{gemm_min_flops, with_tuning};
-        // With no flag given, the resolved threshold must equal the
-        // value the help text advertises.
+        use swim_tensor::tune::{gemm_min_flops, with_tuning, KernelTuning};
+        // With no flag given, the resolved threshold is the documented
+        // default, PARALLEL_MIN_FLOPS.
         let t = tuning_from_flags(&parse(&[]), 1).unwrap();
         assert_eq!(with_tuning(&t, gemm_min_flops), swim_tensor::linalg::PARALLEL_MIN_FLOPS);
-        // And an explicit override sticks.
-        let t = tuning_from_flags(&parse(&["--gemm-min-flops", "1"]), 1).unwrap();
-        assert_eq!(t.gemm_min_flops, 1);
+        // And an explicit pin sticks.
+        let t = KernelTuning { gemm_min_flops: 1, ..t };
         assert_eq!(with_tuning(&t, gemm_min_flops), 1);
     }
 }

@@ -10,7 +10,7 @@
 use crate::prep::Prepared;
 use swim_core::insitu::{insitu_training, InsituConfig};
 use swim_core::montecarlo::{
-    aggregate_sweep_rows, nwc_denominator, nwc_sweep_with_denominator, parallel_map, PanicPolicy,
+    aggregate_sweep_rows, fill_rows, nwc_denominator, nwc_sweep_with_denominator, PanicPolicy,
     RunFault, SweepConfig, SweepPoint,
 };
 use swim_core::report::{fmt_mean_std, Table};
@@ -229,16 +229,29 @@ fn sweep_methods(
         let model = &prepared.model;
         let train = &prepared.train;
         let test = &prepared.test;
-        // Fork by *global* run index (the provided fork is local), so a
-        // shard reproduces exactly its rows of the unsharded baseline.
-        parallel_map(cfg.runs, cfg.threads, &base, |r, _| {
-            let mut rng = base.fork((cfg.run_offset + r) as u64);
-            let mut local = model.clone();
-            insitu_training(&mut local, &loss, train, test, &insitu_cfg, &mut rng)
-                .into_iter()
-                .map(|p| (p.nwc, p.accuracy))
-                .collect::<Vec<(f64, f64)>>()
-        })
+        // One trajectory row per run, drawn from the global run's fork,
+        // so a shard reproduces exactly its rows of the unsharded
+        // baseline. Always fail-fast, whatever `on_panic` says: in-situ
+        // rows have no fault record to isolate a run into.
+        let mut rows = vec![Vec::new(); cfg.runs];
+        fill_rows(
+            cfg.runs,
+            1,
+            cfg.threads,
+            &base,
+            cfg.run_offset,
+            PanicPolicy::FailFast,
+            &mut rows,
+            || (),
+            |(), _, mut rng, row| {
+                let mut local = model.clone();
+                row[0] = insitu_training(&mut local, &loss, train, test, &insitu_cfg, &mut rng)
+                    .into_iter()
+                    .map(|p| (p.nwc, p.accuracy))
+                    .collect();
+            },
+        );
+        rows
     } else {
         Vec::new()
     };

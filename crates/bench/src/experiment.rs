@@ -2,22 +2,19 @@
 //! artifact and the `swim` CLI.
 //!
 //! [`run_spec`] takes a validated [`ExperimentSpec`], runs the
-//! experiment it describes, prints the same human-readable output the
-//! classic per-artifact binaries print, and returns (optionally writing
-//! to `--out`) a typed results document ([`swim_report::ResultsDoc`]):
-//! the spec echo, seed, per-method accuracy-vs-NWC curves, every
-//! rendered table, and wall time. Emission goes through the same schema
+//! experiment it describes, prints its human-readable tables, and
+//! returns (optionally writing to `--out`) a typed results document
+//! ([`swim_report::ResultsDoc`]): the spec echo, seed, per-method
+//! accuracy-vs-NWC curves, every rendered table, and wall time. Emission goes through the same schema
 //! structs that `swim diff` / `swim report` parse back, so the write
 //! path and the read path cannot drift apart; sweeps thereby become
 //! diffable artifacts instead of terminal scrollback.
 //!
-//! The seven classic binaries (`table1`, `fig2a`…) are thin wrappers
-//! over [`preset_bin_main`], which resolves the matching preset from
-//! `swim-exp`, applies the binary's CLI flags as spec overrides, and
-//! calls [`run_spec`] — so `cargo run --bin table1` and
-//! `swim preset table1` run the identical experiment.
+//! `swim run` and `swim preset` resolve a spec, apply the command line
+//! to it ([`apply_flag_overrides`], [`options_from_args`]) and call
+//! [`run_spec`].
 
-use crate::cli::{print_common_help, tuning_from_flags, Args};
+use crate::cli::{tuning_from_flags, Args};
 use crate::driver::{run_methods, DriverConfig, MethodCurves};
 use crate::prep::{prepare_with_model, PrepConfig, Prepared, Scenario};
 use crate::speedup::nwc_to_reach;
@@ -40,7 +37,7 @@ use swim_tensor::Prng;
 /// Output options orthogonal to the experiment description.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Also print CSV blocks (the classic `--csv`).
+    /// Also print CSV blocks (`--csv`).
     pub csv: bool,
     /// Write the JSON results document here.
     pub out: Option<std::path::PathBuf>,
@@ -699,8 +696,7 @@ fn emit_sweep_block(spec: &ExperimentSpec, csv: bool, collector: &mut Collector,
 
 // ------------------------------------------------------------ Fig. 1
 
-/// The classic `fig1_correlation` output: perturbation scatter plus the
-/// Pearson summary.
+/// The `fig1` output: perturbation scatter plus the Pearson summary.
 fn run_fig1(spec: &ExperimentSpec, opts: &RunOptions, collector: &mut Collector) {
     let probes = spec.correlation.probes;
     let runs = spec.correlation.runs;
@@ -780,7 +776,7 @@ fn run_fig1(spec: &ExperimentSpec, opts: &RunOptions, collector: &mut Collector)
 
 // ------------------------------------------------------- calibration
 
-/// The classic `calibration` output: §4.1 write-verify statistics.
+/// The `calibration` output: §4.1 write-verify statistics.
 fn run_calibration(spec: &ExperimentSpec, opts: &RunOptions, collector: &mut Collector) {
     use swim_cim::device::{DeviceConfig, DeviceTech};
     use swim_cim::writeverify::measure_stats;
@@ -830,8 +826,8 @@ fn run_calibration(spec: &ExperimentSpec, opts: &RunOptions, collector: &mut Col
 
 // ---------------------------------------------------------- ablation
 
-/// The classic `ablation` output: granularity sweep, tie-break
-/// comparison, calibration-set-size study.
+/// The `ablation` output: granularity sweep, tie-break comparison,
+/// calibration-set-size study.
 fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Collector) {
     use swim_core::algorithm::selective_write_verify;
     use swim_core::montecarlo::{nwc_sweep, PanicPolicy, SweepConfig};
@@ -1000,19 +996,19 @@ fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Colle
     );
 }
 
-// ------------------------------------------------------ bin wrappers
+// ------------------------------------------------------ command line
 
 /// Flags that configure output or kernels rather than the experiment —
 /// never forwarded into the spec.
-const NON_SPEC_FLAGS: &[&str] =
-    &["gemm-threads", "gemm-block", "gemm-min-flops", "out", "checkpoint", "resume"];
+const NON_SPEC_FLAGS: &[&str] = &["gemm-threads", "out", "checkpoint", "resume"];
 
-/// Boolean flags the wrappers understand; anything else is a typo.
+/// Boolean flags `swim run`/`swim preset` understand; anything else is a
+/// typo.
 const KNOWN_BOOL_FLAGS: &[&str] = &["quick", "csv", "full", "help"];
 
-/// Applies a binary's `--flag value` pairs as spec overrides and
-/// rejects unknown boolean flags (a typo like `--quik` must not
-/// silently launch the full-budget experiment).
+/// Applies the `--flag value` pairs of `swim run`/`swim preset` as spec
+/// overrides and rejects unknown boolean flags (a typo like `--quik`
+/// must not silently launch the full-budget experiment).
 pub fn apply_flag_overrides(spec: &mut ExperimentSpec, args: &Args) -> Result<(), String> {
     if let Some(unknown) = args.flags().find(|f| !KNOWN_BOOL_FLAGS.contains(f)) {
         return Err(format!("unknown flag --{unknown} (pass --help for the flag reference)"));
@@ -1022,14 +1018,6 @@ pub fn apply_flag_overrides(spec: &mut ExperimentSpec, args: &Args) -> Result<()
     for (key, value) in pairs {
         if NON_SPEC_FLAGS.contains(&key.as_str()) {
             continue;
-        }
-        if key == "set" {
-            // A classic binary only sees the last `--set` (single-valued
-            // flag map), which would silently drop earlier ones — point
-            // at the CLI that handles repetition properly.
-            return Err("--set belongs to the `swim` CLI (`swim preset <name> --set k=v`); \
-                 the classic binaries take direct flags like --runs"
-                .to_string());
         }
         spec.apply_set(&format!("{key}={value}")).map_err(|e| format!("--{key}: {e}"))?;
     }
@@ -1053,37 +1041,6 @@ pub fn options_from_args(spec: &ExperimentSpec, args: &Args) -> Result<RunOption
         checkpoint: args.get("checkpoint").map(std::path::PathBuf::from),
         resume: args.get("resume").map(std::path::PathBuf::from),
     })
-}
-
-/// Entry point shared by the seven thin preset binaries: resolve the
-/// preset, apply CLI flags as spec overrides, run.
-pub fn preset_bin_main(preset_name: &str, help_binary: &str, extra_help: &[(&str, &str)]) {
-    let args = Args::parse();
-    if let Err(e) = tune::init_from_env() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    if args.has("help") {
-        print_common_help(help_binary, extra_help);
-        return;
-    }
-    let mut spec = swim_exp::preset(preset_name, args.has("quick"))
-        .unwrap_or_else(|| panic!("unknown preset {preset_name}"));
-    if let Err(e) = apply_flag_overrides(&mut spec, &args) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    let opts = match options_from_args(&spec, &args) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = run_spec(&spec, &opts) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
 }
 
 #[cfg(test)]
@@ -1263,17 +1220,6 @@ mod tests {
             Args::try_parse_from(["--quick", "--csv", "--full"].iter().map(|s| s.to_string()))
                 .unwrap();
         apply_flag_overrides(&mut spec, &args).unwrap();
-    }
-
-    /// `--set` on a classic binary is rejected (single-valued flag
-    /// parsing would silently drop repeats) and redirected to `swim`.
-    #[test]
-    fn set_flag_on_classic_binary_errors() {
-        let mut spec = swim_exp::preset("table1", false).unwrap();
-        let args = Args::try_parse_from(["--set", "runs=1"].iter().map(|s| s.to_string())).unwrap();
-        let e = apply_flag_overrides(&mut spec, &args).unwrap_err();
-        assert!(e.contains("swim"), "{e}");
-        assert_eq!(spec.montecarlo.runs, 25, "override must not be applied");
     }
 
     /// Single-sigma kinds reject a sigma grid — the spec echo must

@@ -10,7 +10,7 @@
 //!    (`threads = 1`); all parallelism comes from the service scheduling
 //!    many blocks of many jobs onto the shared
 //!    [`swim_core::pool::WorkerPool`] — this is what replaces the CLI's
-//!    per-sweep `thread::scope`. Results are unaffected: the Monte Carlo
+//!    per-sweep fan-out of Monte Carlo workers. Results are unaffected: the Monte Carlo
 //!    harness is bit-identical across thread counts by construction.
 //! 2. **The prepared-model cache.** Preparation (train → quantize →
 //!    sensitivities) is the expensive, highly shareable stage. It is

@@ -527,32 +527,39 @@ fn tune_on_is_refused_with_a_pointer_to_the_pins() {
 }
 
 /// The pin precedence through the binary: the spec's `[tune]` pin beats
-/// the CLI flag, and a key the spec leaves unset falls through to the
-/// environment.
+/// the environment, and a key the spec leaves unset falls through to it.
 #[test]
 fn spec_tune_pins_beat_the_cli_layer() {
     let dir = tempdir("swim-tune-precedence");
     let spec = dir.join("spec.toml");
     std::fs::write(&spec, TWO_BLOCK_SPEC).unwrap();
     let out_path = dir.join("out.json");
-    let out = swim_with_env(
-        "SWIM_TUNE_MIN_FLOPS",
-        "5",
-        &[
-            "run",
-            spec.to_str().unwrap(),
-            "--gemm-block",
-            "64",
-            "--set",
-            "tune.gemm_block=96",
-            "--out",
-            out_path.to_str().unwrap(),
-        ],
-    );
+    let out = Command::new(env!("CARGO_BIN_EXE_swim"))
+        .args(["run", spec.to_str().unwrap(), "--set", "tune.gemm_block=96"])
+        .args(["--out", out_path.to_str().unwrap()])
+        .env("SWIM_TUNE_BLOCK", "64")
+        .env("SWIM_TUNE_MIN_FLOPS", "5")
+        .output()
+        .expect("swim binary runs");
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let doc = load_normalized(&out_path);
-    assert_eq!(doc.tuning.gemm_block_cols, 96, "the spec pin beats --gemm-block");
+    assert_eq!(doc.tuning.gemm_block_cols, 96, "the spec pin beats SWIM_TUNE_BLOCK");
     assert_eq!(doc.tuning.gemm_min_flops, 5, "an unset spec key falls through to the env");
     assert_eq!(doc.tuning.mode, "off");
     assert!(doc.tuning.choices.is_empty());
+}
+
+/// The removed `--gemm-block` / `--gemm-min-flops` aliases are refused
+/// with one `error:` line, never silently ignored.
+#[test]
+fn removed_gemm_alias_flags_exit_two() {
+    for flag in ["--gemm-block", "--gemm-min-flops"] {
+        for args in [&["preset", "table1", "--quick", flag, "96"][..], &["serve", flag, "96"]] {
+            let out = swim(args);
+            assert_usage_error(&out, &flag[2..]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+            assert_eq!(errors, 1, "{args:?}: {stderr}");
+        }
+    }
 }

@@ -5,25 +5,30 @@
 //! keeping results *independent of the schedule*: run `r` always draws
 //! from the forked stream `base.fork(r)`, so `--threads 1` and
 //! `--threads 32` produce bit-identical statistics.
+//!
+//! Every replication goes through one row entry, [`fill_rows`]: the
+//! selector sweeps and the in-situ baseline fill a preallocated
+//! `runs × row` matrix with it, and [`parallel_map`] is its
+//! one-slot-per-run wrapper. Its workers are the shared
+//! [`swim_tensor::par::fan_out`] threads, which compute under the
+//! caller's kernel configuration (SIMD backend, GEMM knobs).
 
 use crate::model::{EvalScratch, QuantizedModel};
 use crate::select::{mask_top_fraction_into, SelectionInputs, Selector};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{Mutex, PoisonError};
 use swim_data::Dataset;
+use swim_tensor::par::fan_out;
 use swim_tensor::stats::Running;
-use swim_tensor::tune::KernelConfig;
 use swim_tensor::Prng;
 
 /// Runs `f(run_index, rng)` for `runs` independent runs across
 /// `threads` worker threads, preserving result order.
 ///
-/// A one-slot-per-run wrapper over the harness's one worker loop (see
-/// [`parallel_fill_rows`]): workers pull *chunks* of the result vector
-/// from a queue and write into their disjoint slices directly. Run `r`
-/// always draws from `base.fork(r)`, so the output is bit-identical for
-/// every `threads` setting.
+/// A one-slot-per-run wrapper over [`fill_rows`]. Run `r` always draws
+/// from `base.fork(r)`, so the output is bit-identical for every
+/// `threads` setting.
 ///
 /// `runs == 0` returns an empty vector without spawning any workers.
 ///
@@ -31,80 +36,28 @@ use swim_tensor::Prng;
 ///
 /// Panics if `threads` is zero (use 1 for serial execution), or if `f`
 /// panics for some run — in that case the panic is propagated with the
-/// offending run index and the worker's panic message.
+/// lowest offending run index and that run's panic message.
 pub fn parallel_map<T, F>(runs: usize, threads: usize, base: &Prng, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, Prng) -> T + Sync,
 {
     let mut slots: Vec<Option<T>> = (0..runs).map(|_| None).collect();
-    fill_rows(
-        "parallel_map",
+    let faults = fill_rows(
         runs,
         1,
         threads,
         base,
         0,
-        PanicPolicy::FailFast,
+        PanicPolicy::Isolate,
         &mut slots,
         || (),
         |(), r, rng, slot| slot[0] = Some(f(r, rng)),
     );
+    if let Some(fault) = faults.first() {
+        panic!("parallel_map: run {} panicked: {}", fault.run, fault.message);
+    }
     slots.into_iter().map(|slot| slot.expect("every run index was processed")).collect()
-}
-
-/// Runs `f(state, run_index, rng, row)` for `runs` independent runs
-/// across `threads` worker threads, writing results into a
-/// caller-provided flat row-major matrix.
-///
-/// Run `r` receives the mutable row `out[r·row_len .. (r+1)·row_len]`
-/// and must fully overwrite it. This is the zero-allocation form of the
-/// harness: the caller allocates the matrix once, so a run adds no
-/// per-run heap traffic (provided `f` itself is allocation-free — which
-/// the sweep closure is, see `tests/alloc_free.rs`).
-///
-/// `init` runs once on each worker thread (and once total on the serial
-/// path); the resulting state is passed `&mut` to every run that worker
-/// executes. This is how the sweep harness reuses one cloned network and
-/// one set of programming buffers across a worker's whole share of the
-/// Monte Carlo budget instead of reallocating per run.
-///
-/// Run `r` draws only from `base.fork(r)`, and `f` must be
-/// *state-oblivious*: the row written for run `r` must not depend on
-/// what previous runs left in the scratch (e.g. every buffer `f` reads
-/// is fully overwritten first). Under that condition the matrix
-/// contents are bit-identical for every `threads` value.
-///
-/// # Panics
-///
-/// Panics if `threads` or `row_len` is zero, if
-/// `out.len() != runs · row_len`, or if `f` panics for some run — the
-/// panic is propagated with the offending run index.
-pub fn parallel_fill_rows<P, S, I, F>(
-    runs: usize,
-    row_len: usize,
-    threads: usize,
-    base: &Prng,
-    out: &mut [P],
-    init: I,
-    f: F,
-) where
-    P: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, Prng, &mut [P]) + Sync,
-{
-    let faults = parallel_fill_rows_isolated(
-        runs,
-        row_len,
-        threads,
-        base,
-        0,
-        PanicPolicy::FailFast,
-        out,
-        init,
-        f,
-    );
-    debug_assert!(faults.is_empty(), "fail-fast never returns faults");
 }
 
 /// What the harness does when one Monte Carlo run panics.
@@ -148,26 +101,46 @@ pub struct RunFault {
     pub message: String,
 }
 
-/// [`parallel_fill_rows`] with a global run offset and a panic policy.
+/// Runs `f(state, run_index, rng, row)` for `runs` independent runs
+/// across `threads` worker threads, writing results into a
+/// caller-provided flat row-major matrix — the harness's one row entry.
 ///
-/// Local run `r` (row `r` of `out`) draws from
-/// `base.fork(run_offset + r)` — the stream the same global run would
-/// use in an unsharded sweep — so a seed-range shard fills exactly the
-/// rows `run_offset .. run_offset + runs` of the full matrix,
-/// bit-identically.
+/// Local run `r` receives the mutable row `out[r·row_len .. (r+1)·row_len]`,
+/// must fully overwrite it, and draws only from
+/// `base.fork(run_offset + r)` — the stream the same global run would use
+/// in an unsharded sweep — so a seed-range shard fills exactly the rows
+/// `run_offset .. run_offset + runs` of the full matrix, bit-identically.
 ///
-/// Under [`PanicPolicy::Isolate`] a panicking run is recorded (global
-/// index plus rendered payload) instead of aborting; its row keeps
-/// whatever the caller prefilled. The returned faults are sorted by run
-/// index. The happy path allocates nothing for the fault machinery, so
-/// the zero-allocation contract of [`parallel_fill_rows`] is preserved.
+/// This is the zero-allocation form of the harness: the caller allocates
+/// the matrix once, so a run adds no per-run heap traffic (provided `f`
+/// itself is allocation-free — which the sweep closure is, see
+/// `tests/alloc_free.rs`). The happy path allocates nothing for the fault
+/// machinery either.
+///
+/// `init` runs once on each worker thread (and once in total on the
+/// serial path); the resulting state is passed `&mut` to every run that
+/// worker executes. This is how the sweep harness reuses one cloned
+/// network and one set of programming buffers across a worker's whole
+/// share of the Monte Carlo budget. `f` must be *state-oblivious*: the
+/// row written for run `r` must not depend on what previous runs left in
+/// the scratch. Under that condition the matrix contents are
+/// bit-identical for every `threads` value.
+///
+/// The workers are [`swim_tensor::par::fan_out`] threads: they pull
+/// chunks of whole rows from one queue and compute under the caller's
+/// kernel configuration. Under [`PanicPolicy::Isolate`] a panicking run
+/// is recorded (global index plus rendered payload) instead of aborting;
+/// its row keeps whatever the caller prefilled. The returned faults are
+/// sorted by run index.
 ///
 /// # Panics
 ///
-/// As [`parallel_fill_rows`]; under [`PanicPolicy::FailFast`] a
-/// panicking run is propagated with its global index and message.
+/// Panics if `threads` or `row_len` is zero, or if
+/// `out.len() != runs · row_len`. Under [`PanicPolicy::FailFast`] the
+/// first panicking run stops the sweep and is propagated as
+/// `"fill_rows: run {r} panicked: {message}"` with its global index.
 #[allow(clippy::too_many_arguments)]
-pub fn parallel_fill_rows_isolated<P, S, I, F>(
+pub fn fill_rows<P, S>(
     runs: usize,
     row_len: usize,
     threads: usize,
@@ -175,37 +148,11 @@ pub fn parallel_fill_rows_isolated<P, S, I, F>(
     run_offset: usize,
     policy: PanicPolicy,
     out: &mut [P],
-    init: I,
-    f: F,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, Prng, &mut [P]) + Sync,
 ) -> Vec<RunFault>
 where
     P: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, Prng, &mut [P]) + Sync,
-{
-    fill_rows("parallel_fill_rows", runs, row_len, threads, base, run_offset, policy, out, init, f)
-}
-
-/// The harness's one worker loop, behind [`parallel_map`] and
-/// [`parallel_fill_rows_isolated`]. A fail-fast panic is rethrown as
-/// `"{caller}: run {r} panicked: {message}"`.
-#[allow(clippy::too_many_arguments)]
-fn fill_rows<P, S, I, F>(
-    caller: &str,
-    runs: usize,
-    row_len: usize,
-    threads: usize,
-    base: &Prng,
-    run_offset: usize,
-    policy: PanicPolicy,
-    out: &mut [P],
-    init: I,
-    f: F,
-) -> Vec<RunFault>
-where
-    P: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, Prng, &mut [P]) + Sync,
 {
     assert!(threads > 0, "threads must be positive");
     assert!(row_len > 0, "row_len must be positive");
@@ -214,90 +161,37 @@ where
         return Vec::new();
     }
     let workers = threads.min(runs);
-    if workers == 1 {
-        let mut faults = Vec::new();
-        let mut state = init();
-        for (local, row) in out.chunks_mut(row_len).enumerate() {
-            let r = run_offset + local;
-            match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                f(&mut state, r, base.fork(r as u64), row)
-            })) {
-                Ok(()) => {}
-                Err(payload) => {
-                    let message = panic_detail(payload.as_ref());
-                    match policy {
-                        PanicPolicy::FailFast => {
-                            panic!("{caller}: run {r} panicked: {message}")
-                        }
-                        PanicPolicy::Isolate => faults.push(RunFault { run: r, message }),
-                    }
-                }
-            }
-        }
-        return faults;
-    }
-
     // Chunks several times smaller than a fair share keep the queue
     // balancing uneven run times without lock traffic per run. Chunk
     // boundaries stay on whole rows.
     let chunk_rows = (runs / (workers * 4)).max(1);
-    let collected: Mutex<Vec<RunFault>> = Mutex::new(Vec::new());
+    let faults: Mutex<Vec<RunFault>> = Mutex::new(Vec::new());
     let abort = AtomicBool::new(false);
-
-    let (tx, rx) = mpsc::channel();
-    for (ci, slice) in out.chunks_mut(chunk_rows * row_len).enumerate() {
-        tx.send((ci * chunk_rows, slice)).expect("receiver alive");
-    }
-    drop(tx);
-    let queue = Mutex::new(rx);
-
-    // Workers compute under the caller's kernel configuration (SIMD
-    // backend, GEMM knobs), not the process default.
-    let config = KernelConfig::current();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                config.scope(|| {
-                    let mut state = init();
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let next =
-                            queue.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).recv();
-                        let Ok((start_row, slice)) = next else { break };
-                        for (offset, row) in slice.chunks_mut(row_len).enumerate() {
-                            let r = run_offset + start_row + offset;
-                            match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                f(&mut state, r, base.fork(r as u64), row)
-                            })) {
-                                Ok(()) => {}
-                                Err(payload) => {
-                                    let message = panic_detail(payload.as_ref());
-                                    collected
-                                        .lock()
-                                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                        .push(RunFault { run: r, message });
-                                    if policy == PanicPolicy::FailFast {
-                                        abort.store(true, Ordering::Relaxed);
-                                        return;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                })
-            });
+    let chunks = out.chunks_mut(chunk_rows * row_len).enumerate();
+    fan_out(workers, chunks, init, |state, (ci, chunk)| {
+        for (offset, row) in chunk.chunks_mut(row_len).enumerate() {
+            if abort.load(Ordering::Relaxed) {
+                return;
+            }
+            let r = run_offset + ci * chunk_rows + offset;
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                f(state, r, base.fork(r as u64), row)
+            }));
+            if let Err(payload) = run {
+                let fault = RunFault { run: r, message: panic_detail(payload.as_ref()) };
+                faults.lock().unwrap_or_else(PoisonError::into_inner).push(fault);
+                if policy == PanicPolicy::FailFast {
+                    abort.store(true, Ordering::Relaxed);
+                }
+            }
         }
     });
 
-    drop(queue);
-
-    let mut faults = collected.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut faults = faults.into_inner().unwrap_or_else(PoisonError::into_inner);
     faults.sort_by_key(|f| f.run);
     if policy == PanicPolicy::FailFast {
         if let Some(first) = faults.first() {
-            panic!("{caller}: run {} panicked: {}", first.run, first.message);
+            panic!("fill_rows: run {} panicked: {}", first.run, first.message);
         }
     }
     faults
@@ -495,7 +389,7 @@ pub fn nwc_sweep_with_denominator(
     // `tests/alloc_free.rs`).
     let nf = config.fractions.len();
     let mut per_run = vec![(0.0f64, 0.0f64); config.runs * nf];
-    let faults = parallel_fill_rows_isolated(
+    let faults = fill_rows(
         config.runs,
         nf,
         config.threads,
@@ -647,11 +541,13 @@ mod tests {
         let base = Prng::seed_from_u64(7);
         let inits = AtomicUsize::new(0);
         let mut out = vec![0usize; 32];
-        parallel_fill_rows(
+        fill_rows(
             32,
             1,
             4,
             &base,
+            0,
+            PanicPolicy::FailFast,
             &mut out,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
@@ -671,11 +567,13 @@ mod tests {
         // And the serial path initializes exactly once.
         inits.store(0, Ordering::Relaxed);
         let mut out = vec![0usize; 5];
-        parallel_fill_rows(
+        fill_rows(
             5,
             1,
             1,
             &base,
+            0,
+            PanicPolicy::FailFast,
             &mut out,
             || inits.fetch_add(1, Ordering::Relaxed),
             |_, r, _, row| row[0] = r,
@@ -695,11 +593,13 @@ mod tests {
         let base = Prng::seed_from_u64(8);
         let fill = |threads: usize| {
             let mut out = vec![0u32; 6 * 96];
-            parallel_fill_rows(
+            fill_rows(
                 6,
                 96,
                 threads,
                 &base,
+                0,
+                PanicPolicy::FailFast,
                 &mut out,
                 || (),
                 |_, _, mut rng, row| {
@@ -915,11 +815,13 @@ mod tests {
         let mapped: Vec<[u64; 2]> =
             parallel_map(10, 4, &base, |r, mut rng| [r as u64, rng.next_u64()]);
         let mut filled = vec![0u64; 20];
-        parallel_fill_rows(
+        fill_rows(
             10,
             2,
             4,
             &base,
+            0,
+            PanicPolicy::FailFast,
             &mut filled,
             || (),
             |(), r, mut rng, row| {
@@ -932,11 +834,13 @@ mod tests {
         }
         // And the serial path agrees with the threaded one.
         let mut serial = vec![0u64; 20];
-        parallel_fill_rows(
+        fill_rows(
             10,
             2,
             1,
             &base,
+            0,
+            PanicPolicy::FailFast,
             &mut serial,
             || (),
             |(), r, mut rng, row| {
@@ -948,15 +852,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parallel_fill_rows: run 4 panicked: fill boom")]
+    #[should_panic(expected = "fill_rows: run 4 panicked: fill boom")]
     fn parallel_fill_rows_propagates_panic() {
         let base = Prng::seed_from_u64(22);
         let mut out = vec![0u8; 8];
-        parallel_fill_rows(
+        fill_rows(
             8,
             1,
             4,
             &base,
+            0,
+            PanicPolicy::FailFast,
             &mut out,
             || (),
             |(), r, _, _| {
@@ -1012,7 +918,7 @@ mod tests {
         let base = Prng::seed_from_u64(31);
         let fill = |runs: usize, offset: usize| {
             let mut out = vec![0u64; runs * 2];
-            let faults = parallel_fill_rows_isolated(
+            let faults = fill_rows(
                 runs,
                 2,
                 3,
@@ -1039,7 +945,7 @@ mod tests {
         let base = Prng::seed_from_u64(32);
         for threads in [1usize, 4] {
             let mut out = vec![0.0f64; 8];
-            let faults = parallel_fill_rows_isolated(
+            let faults = fill_rows(
                 8,
                 1,
                 threads,

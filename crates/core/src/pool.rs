@@ -1,13 +1,14 @@
 //! A persistent shared worker pool and a cooperative cancellation
 //! token — the execution substrate of the experiment service.
 //!
-//! The one-shot CLI spins up scoped threads per sweep
-//! ([`crate::montecarlo::parallel_map`]); a long-running service cannot
-//! afford a thread spawn-and-join cycle per request, and wants the
-//! blocks of *many* concurrent jobs multiplexed over one fixed set of
-//! workers. [`WorkerPool`] is that set: `n` named threads draining one
-//! shared FIFO of boxed tasks. Tasks are `'static` closures; callers
-//! share state with them through `Arc`.
+//! Inside one sweep, the Monte Carlo runs fan out on scoped threads
+//! that live only as long as the sweep ([`crate::montecarlo::fill_rows`],
+//! on [`swim_tensor::par::fan_out`]). A long-running service needs
+//! something else: the blocks of *many* concurrent jobs multiplexed over
+//! one fixed set of workers that outlive every request. [`WorkerPool`]
+//! is that set: `n` named threads draining one shared FIFO of boxed
+//! tasks. Tasks are `'static` closures; callers share state with them
+//! through `Arc`.
 //!
 //! A panicking task is contained: the worker catches the unwind,
 //! reports it on stderr, and keeps draining the queue, so one poisoned

@@ -7,7 +7,8 @@ use crate::param::{Param, ParamKind};
 use swim_tensor::conv::{
     conv_forward_into, conv_input_grad_accumulate, conv_weight_grad_into, ConvGeometry,
 };
-use swim_tensor::tune::{self, KernelConfig};
+use swim_tensor::par::fan_out;
+use swim_tensor::tune;
 use swim_tensor::{Prng, Tensor};
 
 /// Bound, in `f32` elements (4 MiB), on the weight-gradient tiles a
@@ -131,14 +132,19 @@ impl Conv2d {
         let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
         let images = input.data().chunks_exact(self.in_channels * h * w);
         let jobs = out.data_mut().chunks_exact_mut(nf * spatial).zip(images);
-        for_each_image(plan.workers.min(n), jobs, |(y, x)| {
-            conv_forward_into(weight, x, &geom, plan.block_cols, y);
-            for (row, &b) in y.chunks_exact_mut(spatial).zip(bias) {
-                for v in row {
-                    *v += b;
+        fan_out(
+            image_threads(plan.workers, n),
+            jobs,
+            || (),
+            |(), (y, x)| {
+                conv_forward_into(weight, x, &geom, plan.block_cols, y);
+                for (row, &b) in y.chunks_exact_mut(spatial).zip(bias) {
+                    for v in row {
+                        *v += b;
+                    }
                 }
-            }
-        });
+            },
+        );
         // Cache the activation for the backward passes, reusing the
         // previous cache's capacity even when the batch shape changes —
         // a copy, not an allocation. (Caching must happen in Eval mode
@@ -195,14 +201,19 @@ impl Conv2d {
             let jobs = (g0..g1)
                 .zip(tiles.chunks_exact_mut(tile_len))
                 .map(|(i, tile)| (i, tile, image_grads.as_mut().and_then(Iterator::next)));
-            for_each_image(workers, jobs, |(i, tile, image_grad)| {
-                let x = &input.data()[i * image_len..][..image_len];
-                let g = &gd[i * nf * spatial..][..nf * spatial];
-                conv_weight_grad_into(g, x, &geom, square, plan.block_cols, tile);
-                if let Some(dx) = image_grad {
-                    conv_input_grad_accumulate(g, weight, &geom, plan.block_cols, dx);
-                }
-            });
+            fan_out(
+                image_threads(workers, g1 - g0),
+                jobs,
+                || (),
+                |(), (i, tile, image_grad)| {
+                    let x = &input.data()[i * image_len..][..image_len];
+                    let g = &gd[i * nf * spatial..][..nf * spatial];
+                    conv_weight_grad_into(g, x, &geom, square, plan.block_cols, tile);
+                    if let Some(dx) = image_grad {
+                        conv_input_grad_accumulate(g, weight, &geom, plan.block_cols, dx);
+                    }
+                },
+            );
             for tile in tiles.chunks_exact(tile_len).take(g1 - g0) {
                 for (acc, &v) in wgrad.iter_mut().zip(tile) {
                     *acc += v;
@@ -222,27 +233,12 @@ impl Conv2d {
     }
 }
 
-/// Runs `job` on every item: inline when `workers` is 1, otherwise on
-/// `workers` scoped threads, each taking a contiguous run of items under
-/// the caller's kernel configuration. Jobs write disjoint outputs, so the
-/// split never changes a byte.
-fn for_each_image<I: Send>(workers: usize, items: impl Iterator<Item = I>, job: impl Fn(I) + Sync) {
-    if workers <= 1 {
-        items.for_each(job);
-        return;
-    }
-    let items: Vec<I> = items.collect();
-    let per_worker = items.len().div_ceil(workers);
-    let mut items = items.into_iter();
-    let config = KernelConfig::current();
-    std::thread::scope(|scope| loop {
-        let run: Vec<I> = items.by_ref().take(per_worker).collect();
-        if run.is_empty() {
-            break;
-        }
-        let job = &job;
-        scope.spawn(move || config.scope(|| run.into_iter().for_each(job)));
-    });
+/// The threads a split of `images` into contiguous runs of
+/// `⌈images / workers⌉` occupies: [`fan_out`] spawns that many, one per
+/// run's worth of images. Jobs write disjoint outputs, so the split never
+/// changes a byte.
+fn image_threads(workers: usize, images: usize) -> usize {
+    images.div_ceil(images.div_ceil(workers.max(1)).max(1))
 }
 
 impl Layer for Conv2d {

@@ -29,6 +29,9 @@
 //!   [`tune::KernelTuning`] knobs in it: GEMM threads, block width and
 //!   threading threshold, each an explicit pin or the built-in
 //!   heuristic. Timing-only by contract: no knob changes result bytes.
+//! * [`par`] — the one scoped fan-out ([`par::fan_out`]) that the Monte
+//!   Carlo harness, the convolution image split and the threaded GEMM
+//!   run their workers on, each under the caller's kernel configuration.
 //!
 //! # Example
 //!
@@ -49,6 +52,7 @@
 pub mod conv;
 pub mod error;
 pub mod linalg;
+pub mod par;
 pub mod rng;
 pub mod shape;
 pub mod simd;

@@ -18,8 +18,8 @@
 //! Every output element is accumulated in strictly increasing `k` order
 //! starting from `0.0`, exactly like the reference `i-k-j` triple loop —
 //! register tiling changes *which* elements are in flight, never the
-//! per-element summation order, and the threaded path assigns each thread
-//! a disjoint row range computed identically to the serial path. Results
+//! per-element summation order, and the threaded path splits the rows
+//! into disjoint ranges, each computed identically to the serial path. Results
 //! are therefore **bit-identical** across block sizes and `--threads`
 //! settings *within one SIMD backend*, which the Monte Carlo harness
 //! relies on for reproducibility.
@@ -41,6 +41,7 @@
 //! unlike the pre-workspace kernel, `0.0` entries are *not* skipped, so
 //! `0.0 × NaN` and `0.0 × ∞` contribute `NaN` as true GEMM requires.
 
+use crate::par;
 use crate::simd::{self, Backend};
 use crate::tensor::Tensor;
 use crate::tune::{self, GemmPlan};
@@ -661,8 +662,9 @@ fn gemm_strided_into(
     gemm_with_plan(a, a_strides, b, b_strides, m, k, n, plan, out);
 }
 
-/// [`gemm_strided_into`] below the plan resolution: executes one product
-/// under an explicit, already-chosen [`GemmPlan`].
+/// [`gemm_strided_into`] below the plan resolution: executes one
+/// non-empty product (`m`, `k`, `n` > 0) under an explicit, already-chosen
+/// [`GemmPlan`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_with_plan(
     a: &[f32],
@@ -695,32 +697,18 @@ pub(crate) fn gemm_with_plan(
         pack_panels(b, b_strides, k, n, &mut packed);
         let backend = simd::backend();
         let block_cols = plan.block_cols.max(NR);
-        let workers = plan.workers.min(m).max(1);
-        if workers == 1 {
-            gemm_rows(backend, a, a_strides.row, &packed, k, n, block_cols, 0, out);
-        } else {
-            // Disjoint row chunks; each worker runs the identical serial
-            // routine on its range, so the split cannot affect values.
-            let chunk_rows = m.div_ceil(workers);
-            let packed_ref = &packed[..];
-            std::thread::scope(|scope| {
-                for (ci, out_chunk) in out.chunks_mut(chunk_rows * n).enumerate() {
-                    scope.spawn(move || {
-                        gemm_rows(
-                            backend,
-                            a,
-                            a_strides.row,
-                            packed_ref,
-                            k,
-                            n,
-                            block_cols,
-                            ci * chunk_rows,
-                            out_chunk,
-                        );
-                    });
-                }
-            });
-        }
+        // As many disjoint row chunks as workers; each runs the identical
+        // serial routine on its range, so the split cannot affect values.
+        let chunk_rows = m.div_ceil(plan.workers.min(m).max(1));
+        let (packed, row_stride) = (&packed[..], a_strides.row);
+        par::fan_out(
+            m.div_ceil(chunk_rows),
+            out.chunks_mut(chunk_rows * n).enumerate(),
+            || (),
+            |(), (ci, rows)| {
+                gemm_rows(backend, a, row_stride, packed, k, n, block_cols, ci * chunk_rows, rows)
+            },
+        );
     });
 }
 

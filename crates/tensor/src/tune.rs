@@ -16,9 +16,11 @@
 //! nothing else; [`with_tuning`] and [`crate::simd::with_backend`] set
 //! the calling thread's override and restore it on exit, panics
 //! included. No override leaks into another thread, so concurrent runs
-//! and tests cannot see each other's configuration. The Monte Carlo and
-//! convolution workers capture [`KernelConfig::current`] and enter it,
-//! and the GEMM hands its threads the backend and the resolved plan.
+//! and tests cannot see each other's configuration. Work fans out to
+//! threads only through [`crate::par::fan_out`], which captures
+//! [`KernelConfig::current`] and enters it in every worker: the Monte
+//! Carlo runs, the convolution image split and the GEMM row panels all
+//! compute under their caller's configuration.
 //!
 //! # Policy: explicit pins over the built-in heuristic
 //!
@@ -26,8 +28,8 @@
 //! built-in default: one GEMM thread per core, the cache-resident
 //! block-width heuristic, and [`crate::linalg::PARALLEL_MIN_FLOPS`].
 //! The experiment engine resolves the pins with the precedence
-//! `spec [tune]` > CLI flags > environment (`SWIM_TUNE_BLOCK`,
-//! `SWIM_TUNE_MIN_FLOPS`) > built-in default.
+//! `spec [tune]` > CLI flags (`--gemm-threads`) > environment
+//! (`SWIM_TUNE_BLOCK`, `SWIM_TUNE_MIN_FLOPS`) > built-in default.
 //!
 //! # Timing-only contract
 //!
@@ -127,7 +129,7 @@ impl KernelTuning {
 /// ([`KernelConfig::scope`], [`crate::simd::with_backend`],
 /// [`with_tuning`]), else the process default ([`install`], read from
 /// `SWIM_SIMD` and the `SWIM_TUNE_*` variables on first use). An
-/// override never reaches another thread: code that fans work out
+/// override never reaches another thread on its own: [`crate::par::fan_out`]
 /// captures [`KernelConfig::current`] and enters it in each worker.
 ///
 /// The fields are crate-private, so every value outside this crate is
