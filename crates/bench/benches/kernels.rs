@@ -48,7 +48,7 @@
 //! * `simd` — GEMM 256³ and the elementwise kernels per SIMD backend
 //!   this host supports, with vector-vs-scalar speedups;
 //! * `thread_threshold` — serial vs 2-thread crossover around
-//!   `PARALLEL_MIN_FLOPS` (pin another with `SWIM_TUNE_MIN_FLOPS`).
+//!   `PARALLEL_MIN_FLOPS`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -511,7 +511,7 @@ fn bench_sweep_throughput(h: &mut Harness) {
     let sens: Vec<f32> = (0..model.weight_count()).map(|_| rng.uniform_f32()).collect();
     let mags = model.magnitudes();
     let runs = 8usize;
-    let threads = swim_core::montecarlo::num_threads();
+    let threads = tune::detected_parallelism();
     // Entry names stay thread-count-free so snapshots written on one
     // machine (`--json BENCH_sweep.json`) still match on another; the
     // worker count only shows up in the group header.
@@ -617,7 +617,7 @@ fn bench_simd(h: &mut Harness) {
 /// Where the threaded GEMM path starts paying: serial vs 2-thread wall
 /// time around the `PARALLEL_MIN_FLOPS` default. On a single-core host
 /// the 2-thread entries only measure spawn overhead — run this on a
-/// multi-core machine to tune `SWIM_TUNE_MIN_FLOPS`.
+/// multi-core machine to re-measure the default.
 fn bench_thread_threshold(h: &mut Harness) {
     h.group("thread_threshold (serial vs 2 threads around PARALLEL_MIN_FLOPS)");
     let mut rng = Prng::seed_from_u64(13);

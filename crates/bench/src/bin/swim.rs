@@ -76,9 +76,6 @@ fn usage() {
     println!("  --quick           preset smoke-test shape (presets only)");
     println!("  --runs N / --samples N / --epochs N / --seed N / --threads N");
     println!("                    shorthand spec overrides (same as --set)");
-    println!("  --gemm-threads N  threads inside each matrix product (never in the spec;");
-    println!("                    block width and threshold: the spec's [tune] section or");
-    println!("                    SWIM_TUNE_BLOCK / SWIM_TUNE_MIN_FLOPS)");
     println!("  --simd BACKEND    pin the SIMD kernel backend (scalar, avx2, avx512, neon;");
     println!("                    shorthand for --set simd=BACKEND — recorded in the spec");
     println!("                    echo; `swim list` shows this host's backends)");
@@ -108,9 +105,9 @@ fn usage() {
     println!("  --addr HOST:PORT  listen address (default 127.0.0.1:7878)");
     println!("  --workers N       pool workers (default 0 = one per CPU core)");
     println!("  --queue-cap N     pending-job cap before 429 (default 16)");
-    println!("  --gemm-threads N  process-default GEMM threads (each job's own [tune]");
-    println!("                    and [run] simd apply on top, for that job only)");
     println!();
+    println!("Matrix products use every core, except on the workers of a parallel level");
+    println!("(Monte Carlo runs with --threads > 1, serve's pool), where each runs serially.");
     println!("The results document echoes the spec it ran; `swim run` accepts that");
     println!("echo back, so every result is reproducible from its own output.");
     println!(
@@ -219,11 +216,6 @@ fn list() {
         println!("  {:<18} {}", backend.name(), status);
     }
     println!();
-    println!("kernel pins (for [tune] / SWIM_TUNE_BLOCK / SWIM_TUNE_MIN_FLOPS; 0 = built-in):");
-    let t = swim_tensor::tune::current();
-    println!("  gemm_block: {}", t.gemm_block_cols);
-    println!("  gemm_min_flops: {}", t.gemm_min_flops);
-    println!();
     println!("spec kinds: sweep, table1, fig2, fig1, calibration, ablation");
 }
 
@@ -240,11 +232,7 @@ fn run_with(mut spec: ExperimentSpec, sets: &[String], args: &Args) -> ! {
     if let Err(e) = apply_flag_overrides(&mut spec, args) {
         fail(&e);
     }
-    let opts = match options_from_args(&spec, args) {
-        Ok(opts) => opts,
-        Err(e) => fail(&e),
-    };
-    match run_spec(&spec, &opts) {
+    match run_spec(&spec, &options_from_args(args)) {
         Ok(_) => std::process::exit(0),
         Err(e) => {
             eprintln!("error: {e}");
@@ -497,11 +485,20 @@ fn main() {
         std::process::exit(2);
     }
     let command = raw.remove(0);
-    // A malformed SWIM_SIMD / SWIM_TUNE_* value is a usage error, not a
-    // panic at the first kernel call.
+    // A malformed SWIM_SIMD value is a usage error, not a panic at the
+    // first kernel call. The former GEMM pin variables are refused, never
+    // silently ignored, like the removed flags and spec keys.
     if !matches!(command.as_str(), "help" | "--help" | "-h") {
         if let Err(e) = swim_tensor::tune::init_from_env() {
             fail(&e);
+        }
+        for var in ["SWIM_TUNE_BLOCK", "SWIM_TUNE_MIN_FLOPS"] {
+            if std::env::var_os(var).is_some() {
+                fail(&format!(
+                    "{var} is no longer read: GEMM block width and threading threshold are \
+                     chosen by the kernels; unset it"
+                ));
+            }
         }
     }
     match command.as_str() {
@@ -551,7 +548,7 @@ fn main() {
         "summarize" => cmd_summarize(raw),
         "serve" => {
             let (positionals, rest) =
-                split_positionals(raw, &[], &["addr", "workers", "queue-cap", "gemm-threads"]);
+                split_positionals(raw, &[], &["addr", "workers", "queue-cap"]);
             if !positionals.is_empty() {
                 fail("`swim serve` takes flags only (see `swim help`)");
             }

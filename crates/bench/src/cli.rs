@@ -120,39 +120,6 @@ impl Args {
     }
 }
 
-/// Resolves the kernel pins from the environment and the command line —
-/// the env and CLI layers of the precedence chain (spec `[tune]` > CLI
-/// flags > environment > built-in default; the spec layer is overlaid
-/// by the experiment engine, which runs inside the result).
-///
-/// The two parallelism levels compete for the same cores: when the
-/// Monte Carlo harness already fans `mc_threads` workers out, nested
-/// GEMM threading oversubscribes, so the default keeps each product
-/// serial in that case and lets GEMM use every core otherwise
-/// (single-run phases like training and sensitivity analysis). Every
-/// knob here is a pure performance setting — results are bit-identical
-/// for every value. The block width and threading threshold have no
-/// flag: pin them in the spec's `[tune]` section or the `SWIM_TUNE_*`
-/// variables.
-pub fn tuning_from_flags(
-    args: &Args,
-    mc_threads: usize,
-) -> Result<swim_tensor::tune::KernelTuning, String> {
-    let mut t = swim_tensor::tune::KernelTuning::from_env()?;
-    t.gemm_threads = args.get_usize("gemm-threads", if mc_threads > 1 { 1 } else { 0 })?;
-    Ok(t)
-}
-
-/// Resolves the env/CLI tuning layers and installs them as the process
-/// default, returning the resolved `(gemm_threads, gemm_block)` pair —
-/// the entry point of `swim serve`, whose jobs overlay their own
-/// `[tune]` sections per job.
-pub fn apply_gemm_flags(args: &Args, mc_threads: usize) -> Result<(usize, usize), String> {
-    let t = tuning_from_flags(args, mc_threads)?;
-    swim_tensor::tune::install(&t);
-    Ok((t.gemm_threads, t.gemm_block_cols))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,39 +181,5 @@ mod tests {
         assert!(e.contains("--runs expects an integer"), "{e}");
         let e = parse(&["--abs-tol", "wide"]).get_f64("abs-tol", 0.0).unwrap_err();
         assert!(e.contains("--abs-tol expects a number"), "{e}");
-    }
-
-    #[test]
-    fn tuning_flags_resolve_into_kernel_tuning() {
-        let args = parse(&["--gemm-block", "128", "--gemm-threads", "3"]);
-        let t = tuning_from_flags(&args, 1).unwrap();
-        assert_eq!(t.gemm_threads, 3);
-        // The block width and threshold come from the environment layer
-        // only: the removed `--gemm-block` alias is no pin here (the spec
-        // layer rejects it as an unknown key).
-        let env = swim_tensor::tune::KernelTuning::from_env().unwrap();
-        assert_eq!(
-            (t.gemm_block_cols, t.gemm_min_flops),
-            (env.gemm_block_cols, env.gemm_min_flops)
-        );
-        // Defaults: serial GEMM under a parallel Monte Carlo level,
-        // every core otherwise.
-        assert_eq!(tuning_from_flags(&parse(&[]), 8).unwrap().gemm_threads, 1);
-        assert_eq!(tuning_from_flags(&parse(&[]), 1).unwrap().gemm_threads, 0);
-        // A malformed pin errors instead of silently falling back.
-        let e = tuning_from_flags(&parse(&["--gemm-threads", "many"]), 1).unwrap_err();
-        assert!(e.contains("--gemm-threads"), "{e}");
-    }
-
-    #[test]
-    fn gemm_flag_default_matches_advertised_value() {
-        use swim_tensor::tune::{gemm_min_flops, with_tuning, KernelTuning};
-        // With no flag given, the resolved threshold is the documented
-        // default, PARALLEL_MIN_FLOPS.
-        let t = tuning_from_flags(&parse(&[]), 1).unwrap();
-        assert_eq!(with_tuning(&t, gemm_min_flops), swim_tensor::linalg::PARALLEL_MIN_FLOPS);
-        // And an explicit pin sticks.
-        let t = KernelTuning { gemm_min_flops: 1, ..t };
-        assert_eq!(with_tuning(&t, gemm_min_flops), 1);
     }
 }

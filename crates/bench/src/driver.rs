@@ -6,6 +6,10 @@
 //! row order is the selector order given by the caller, so the paper's
 //! presentation (SWIM, Magnitude, Random, In-situ) is just the default
 //! selector registry order.
+//!
+//! The driver sets no kernel configuration of its own: a sweep computes
+//! under its caller's, and its Monte Carlo workers run their matrix
+//! products serially (see `swim_tensor::par`).
 
 use crate::prep::Prepared;
 use swim_core::insitu::{insitu_training, InsituConfig};
@@ -17,7 +21,6 @@ use swim_core::report::{fmt_mean_std, Table};
 use swim_core::select::{default_selectors, Selector};
 use swim_nn::loss::SoftmaxCrossEntropy;
 use swim_tensor::stats::Running;
-use swim_tensor::tune::{self, KernelTuning};
 use swim_tensor::Prng;
 
 /// Statistics of the in-situ baseline at one NWC checkpoint.
@@ -66,11 +69,11 @@ pub struct DriverConfig {
     pub runs: usize,
     /// Monte Carlo worker threads.
     pub threads: usize,
-    /// Threads inside each matrix product (0 = all cores). Keep at 1
-    /// when `threads > 1`: the Monte Carlo level already saturates the
-    /// machine, and nested GEMM threading would oversubscribe it.
+    /// Not read by the driver: matrix products resolve their thread
+    /// count from the calling thread (see `swim_tensor::par`). Kept for
+    /// callers that install a GEMM configuration themselves.
     pub gemm_threads: usize,
-    /// GEMM cache-block width in columns (0 = automatic).
+    /// Not read by the driver, like `gemm_threads`.
     pub gemm_block: usize,
     /// Evaluation batch size.
     pub eval_batch: usize,
@@ -95,8 +98,8 @@ impl Default for DriverConfig {
         DriverConfig {
             fractions: vec![0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0],
             runs: 25,
-            threads: swim_core::montecarlo::num_threads(),
-            gemm_threads: if swim_core::montecarlo::num_threads() > 1 { 1 } else { 0 },
+            threads: swim_tensor::tune::detected_parallelism(),
+            gemm_threads: 0,
             gemm_block: 0,
             eval_batch: 256,
             seed: 0,
@@ -114,9 +117,8 @@ impl Default for DriverConfig {
 }
 
 impl DriverConfig {
-    /// The driver view of an experiment spec. `gemm_threads` /
-    /// `gemm_block` come from [`crate::cli::apply_gemm_flags`] so CLI
-    /// overrides and the spec agree on one policy.
+    /// The driver view of an experiment spec, with `gemm_threads` and
+    /// `gemm_block` recorded as given.
     pub fn from_spec(
         spec: &swim_exp::spec::ExperimentSpec,
         gemm_threads: usize,
@@ -154,24 +156,7 @@ impl DriverConfig {
 /// loops desynchronize the shared noise stream, so the comparison is
 /// not truly paired (ROADMAP item 5). In-situ training runs its own
 /// Monte Carlo with per-run RNG forks.
-///
-/// The sweep runs under the calling thread's kernel configuration with
-/// `cfg.gemm_threads` and `cfg.gemm_block` scoped on top; the process
-/// default is left alone.
 pub fn run_methods(
-    prepared: &mut Prepared,
-    selectors: &[Box<dyn Selector>],
-    cfg: &DriverConfig,
-) -> MethodCurves {
-    let tuning = KernelTuning {
-        gemm_threads: cfg.gemm_threads,
-        gemm_block_cols: cfg.gemm_block,
-        ..tune::current()
-    };
-    tune::with_tuning(&tuning, || sweep_methods(prepared, selectors, cfg))
-}
-
-fn sweep_methods(
     prepared: &mut Prepared,
     selectors: &[Box<dyn Selector>],
     cfg: &DriverConfig,

@@ -14,7 +14,7 @@
 //! to it ([`apply_flag_overrides`], [`options_from_args`]) and call
 //! [`run_spec`].
 
-use crate::cli::{tuning_from_flags, Args};
+use crate::cli::Args;
 use crate::driver::{run_methods, DriverConfig, MethodCurves};
 use crate::prep::{prepare_with_model, PrepConfig, Prepared, Scenario};
 use crate::speedup::nwc_to_reach;
@@ -41,9 +41,9 @@ pub struct RunOptions {
     pub csv: bool,
     /// Write the JSON results document here.
     pub out: Option<std::path::PathBuf>,
-    /// The env/CLI kernel-tuning layers (from [`tuning_from_flags`]).
-    /// [`run_spec`] overlays the spec's `[tune]` section on top and runs
-    /// inside the result — timing-only, never affects result bytes.
+    /// Kernel pins for library callers (`0` = the built-in default;
+    /// the CLI pins nothing). [`run_spec`] runs inside them —
+    /// timing-only, never affects result bytes.
     pub tuning: tune::KernelTuning,
     /// Write a checkpoint journal here after every completed block.
     pub checkpoint: Option<std::path::PathBuf>,
@@ -355,36 +355,19 @@ fn run_validated(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc,
 
 /// Runs `f` on the calling thread under the kernel configuration a
 /// validated spec asks for: its `run.simd` backend (else the thread's
-/// current one) and its `[tune]` section overlaid on `base`. Fails
-/// without running `f` when the host cannot execute the backend.
+/// current one) with `tuning`. Fails without running `f` when the host
+/// cannot execute the backend.
 pub(crate) fn with_spec_config<R>(
     spec: &ExperimentSpec,
-    base: &tune::KernelTuning,
+    tuning: &tune::KernelTuning,
     f: impl FnOnce() -> R,
 ) -> Result<R, String> {
     let backend = match &spec.run.simd {
         Some(name) => simd::Backend::parse(name).expect("validated spec has a known SIMD backend"),
         None => simd::backend(),
     };
-    simd::with_backend(backend, || tune::with_tuning(&tuning_with_spec(base, spec), f))
+    simd::with_backend(backend, || tune::with_tuning(tuning, f))
         .map_err(|e| format!("run.simd: {e}"))
-}
-
-/// The spec's `[tune]` section overlaid on the env/CLI tuning layers —
-/// the top of the precedence chain (spec > flags > environment >
-/// default). Unset spec keys fall through to `base`.
-pub(crate) fn tuning_with_spec(
-    base: &tune::KernelTuning,
-    spec: &ExperimentSpec,
-) -> tune::KernelTuning {
-    let mut t = base.clone();
-    if let Some(b) = spec.tune.gemm_block {
-        t.gemm_block_cols = b;
-    }
-    if let Some(f) = spec.tune.gemm_min_flops {
-        t.gemm_min_flops = f;
-    }
-    t
 }
 
 /// The preparation every block of a grid spec shares: data, training,
@@ -511,11 +494,7 @@ fn run_grid(
         }
     }
 
-    // `run_spec` runs inside the fully resolved tuning (spec > flags >
-    // env); the driver config reads it back so every layer sees one
-    // policy.
-    let t = tune::current();
-    let cfg = DriverConfig::from_spec(spec, t.gemm_threads, t.gemm_block_cols);
+    let cfg = DriverConfig::from_spec(spec, 0, 0);
     let mut shared = None;
     for (model_name, sigma) in model_sigma_grid(spec) {
         if collector.block_done(&model_name, sigma) {
@@ -998,9 +977,9 @@ fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Colle
 
 // ------------------------------------------------------ command line
 
-/// Flags that configure output or kernels rather than the experiment —
-/// never forwarded into the spec.
-const NON_SPEC_FLAGS: &[&str] = &["gemm-threads", "out", "checkpoint", "resume"];
+/// Flags that configure output rather than the experiment — never
+/// forwarded into the spec.
+const NON_SPEC_FLAGS: &[&str] = &["out", "checkpoint", "resume"];
 
 /// Boolean flags `swim run`/`swim preset` understand; anything else is a
 /// typo.
@@ -1024,23 +1003,17 @@ pub fn apply_flag_overrides(spec: &mut ExperimentSpec, args: &Args) -> Result<()
     Ok(())
 }
 
-/// Resolves output options and the env/CLI tuning layers for a spec
-/// (the spec's own `[tune]` section is overlaid later, by [`run_spec`]).
-pub fn options_from_args(spec: &ExperimentSpec, args: &Args) -> Result<RunOptions, String> {
-    // Single-run artifacts (no Monte Carlo fan-out during the heavy
-    // phases) let the matrix kernels use every core.
-    let mc_threads = match spec.kind {
-        ExperimentKind::Fig1 | ExperimentKind::Calibration => 1,
-        _ => spec.threads(),
-    };
-    let tuning = tuning_from_flags(args, mc_threads)?;
-    Ok(RunOptions {
+/// The output options of `swim run`/`swim preset`. Kernel tuning stays
+/// at its defaults: GEMM threading is decided where work fans out
+/// (`swim_tensor::par`).
+pub fn options_from_args(args: &Args) -> RunOptions {
+    RunOptions {
         csv: args.has("csv") || args.has("full"),
         out: args.get("out").map(std::path::PathBuf::from),
-        tuning,
+        tuning: tune::KernelTuning::default(),
         checkpoint: args.get("checkpoint").map(std::path::PathBuf::from),
         resume: args.get("resume").map(std::path::PathBuf::from),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -1190,12 +1163,14 @@ mod tests {
     fn flag_overrides_respect_non_spec_flags() {
         let mut spec = swim_exp::preset("table1", false).unwrap();
         let args = Args::try_parse_from(
-            ["--runs", "7", "--gemm-threads", "2", "--out", "x.json"].iter().map(|s| s.to_string()),
+            ["--runs", "7", "--out", "x.json", "--checkpoint", "j.json"]
+                .iter()
+                .map(|s| s.to_string()),
         )
         .unwrap();
         apply_flag_overrides(&mut spec, &args).unwrap();
         assert_eq!(spec.montecarlo.runs, 7);
-        // gemm/out flags did not leak into the spec (they would be
+        // Output flags did not leak into the spec (they would be
         // unknown keys).
     }
 

@@ -10,7 +10,9 @@
 //!    (`threads = 1`); all parallelism comes from the service scheduling
 //!    many blocks of many jobs onto the shared
 //!    [`swim_core::pool::WorkerPool`] — this is what replaces the CLI's
-//!    per-sweep fan-out of Monte Carlo workers. Results are unaffected: the Monte Carlo
+//!    per-sweep fan-out of Monte Carlo workers. The pool's threads are
+//!    parallel workers (`swim_tensor::par`), so a block's matrix
+//!    products run serially too. Results are unaffected: the Monte Carlo
 //!    harness is bit-identical across thread counts by construction.
 //! 2. **The prepared-model cache.** Preparation (train → quantize →
 //!    sensitivities) is the expensive, highly shareable stage. It is
@@ -42,7 +44,7 @@ use swim_exp::spec::{ExperimentKind, ExperimentSpec};
 use swim_serve::server::{BlockOutcome, BlockPayload, JobEngine};
 use swim_serve::{serve_forever, Server, ServerConfig};
 
-use crate::cli::{apply_gemm_flags, Args};
+use crate::cli::Args;
 use crate::driver::DriverConfig;
 use crate::experiment::{
     emit_block, model_sigma_grid, prepare_shared, results_document, sweep_block, with_spec_config,
@@ -54,9 +56,9 @@ use swim_tensor::tune::{self, KernelTuning};
 /// The real engine: prepared-model cache + block compute + assembly.
 ///
 /// Every job runs under its own kernel configuration: its `run.simd`
-/// backend and `[tune]` section over the engine's GEMM policy and the
-/// process default, entered per block and for assembly on whichever
-/// pool worker runs them. Jobs with different backends never share a
+/// backend over the engine's GEMM pins and the process default,
+/// entered per block and for assembly on whichever pool worker runs
+/// them. Jobs with different backends never share a
 /// preparation, because the backend is part of the prep fingerprint.
 pub struct ServiceEngine {
     /// Shared preparations keyed by training fingerprint; each cell is
@@ -69,7 +71,8 @@ pub struct ServiceEngine {
 }
 
 impl ServiceEngine {
-    /// An engine with an empty cache and the given GEMM policy.
+    /// An engine with an empty cache and the given GEMM pins (`0` = the
+    /// built-in default; `swim serve` pins neither).
     pub fn new(gemm_threads: usize, gemm_block: usize) -> ServiceEngine {
         ServiceEngine {
             cache: Mutex::new(HashMap::new()),
@@ -81,7 +84,7 @@ impl ServiceEngine {
     }
 
     /// Runs `f` under `spec`'s kernel configuration, layered over the
-    /// engine's GEMM policy and the process default.
+    /// engine's GEMM pins and the process default.
     fn in_job_config<R>(&self, spec: &ExperimentSpec, f: impl FnOnce() -> R) -> Result<R, String> {
         let base = KernelTuning {
             gemm_threads: self.gemm_threads,
@@ -148,9 +151,7 @@ impl JobEngine for ServiceEngine {
             let prep_seconds = prep_start.elapsed().as_secs_f64();
 
             let sweep_start = Instant::now();
-            let tuning = tune::current();
-            let mut cfg =
-                DriverConfig::from_spec(spec, tuning.gemm_threads, tuning.gemm_block_cols);
+            let mut cfg = DriverConfig::from_spec(spec, 0, 0);
             // Serial Monte Carlo inside the block: concurrency comes from
             // the shared pool running many blocks at once, and the harness
             // is bit-identical across thread counts, so this changes
@@ -203,14 +204,7 @@ pub fn serve_main(args: &Args) -> Result<(), String> {
     if queue_cap == 0 {
         return Err("--queue-cap must be positive".into());
     }
-    // The process default kernel tuning, under each job's own `[tune]`
-    // section: blocks compute serially (see ServiceEngine::run_block),
-    // so per-GEMM threading defaults to 1 — the pool already saturates
-    // the machine. The knobs are pure performance settings; results are
-    // bit-identical for every value.
-    let (gemm_threads, gemm_block) = apply_gemm_flags(args, 2)?;
-
-    let engine = Arc::new(ServiceEngine::new(gemm_threads, gemm_block));
+    let engine = Arc::new(ServiceEngine::new(0, 0));
     let server = Server::new(engine, ServerConfig { workers, queue_cap, max_body_bytes: 1 << 20 });
     let listener = TcpListener::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;

@@ -12,8 +12,7 @@
 
 use std::sync::Arc;
 
-use swim_bench::cli::Args;
-use swim_bench::experiment::{options_from_args, run_spec};
+use swim_bench::experiment::{run_spec, RunOptions};
 use swim_bench::service::ServiceEngine;
 use swim_exp::spec::ExperimentSpec;
 use swim_exp::value::{parse_json, Value};
@@ -91,12 +90,9 @@ fn served_document_matches_run_and_resubmission_hits_the_cache() {
     let spec = ExperimentSpec::parse_str(SPEC).expect("test spec parses");
 
     // The reference: the exact document `swim run` would emit.
-    let args = Args::try_parse_from(std::iter::empty::<String>()).expect("empty args");
-    let opts = options_from_args(&spec, &args).expect("run options");
-    let reference = run_spec(&spec, &opts).expect("reference run");
+    let reference = run_spec(&spec, &RunOptions::default()).expect("reference run");
 
-    let engine =
-        Arc::new(ServiceEngine::new(opts.tuning.gemm_threads, opts.tuning.gemm_block_cols));
+    let engine = Arc::new(ServiceEngine::new(0, 0));
     let server = Server::new(engine, ServerConfig { workers: 2, ..ServerConfig::default() });
 
     // First submission: the two blocks share one training prefix, so
@@ -161,12 +157,9 @@ fn cache_hit_at_another_eval_batch_matches_run() {
     let spec_b = ExperimentSpec::parse_str(&spec_b_text).expect("batch-B spec parses");
     assert_ne!(spec_a.montecarlo.eval_batch, spec_b.montecarlo.eval_batch);
 
-    let args = Args::try_parse_from(std::iter::empty::<String>()).expect("empty args");
-    let opts = options_from_args(&spec_b, &args).expect("run options");
-    let reference = run_spec(&spec_b, &opts).expect("reference run");
+    let reference = run_spec(&spec_b, &RunOptions::default()).expect("reference run");
 
-    let engine =
-        Arc::new(ServiceEngine::new(opts.tuning.gemm_threads, opts.tuning.gemm_block_cols));
+    let engine = Arc::new(ServiceEngine::new(0, 0));
     let server = Server::new(engine, ServerConfig { workers: 2, ..ServerConfig::default() });
     let submit = |text: &str| {
         let created = server.handle(&request("POST", "/jobs", text.as_bytes()));
@@ -207,13 +200,12 @@ fn two_sigma_job_trains_once_whatever_the_timing() {
     let spec_text = SPEC.replace("samples = 300", "samples = 120");
     let spec = ExperimentSpec::parse_str(&spec_text).expect("test spec parses");
     assert_eq!(spec.device.sigmas.len(), 2);
-    let args = Args::try_parse_from(std::iter::empty::<String>()).expect("empty args");
-    let opts = options_from_args(&spec, &args).expect("run options");
-    let reference = normalized(&run_spec(&spec, &opts).expect("reference run").to_json());
+    let reference =
+        normalized(&run_spec(&spec, &RunOptions::default()).expect("reference run").to_json());
 
     // Forced interleaving: both blocks ask a fresh engine for the same
     // missing key at once; one trains, the other waits for it.
-    let engine = ServiceEngine::new(opts.tuning.gemm_threads, opts.tuning.gemm_block_cols);
+    let engine = ServiceEngine::new(0, 0);
     let barrier = std::sync::Barrier::new(2);
     std::thread::scope(|scope| {
         for &sigma in &spec.device.sigmas {
@@ -227,8 +219,7 @@ fn two_sigma_job_trains_once_whatever_the_timing() {
     assert_eq!(engine.cache_counters(), (1, 1), "(hits, misses)");
 
     for attempt in 0..20 {
-        let engine =
-            Arc::new(ServiceEngine::new(opts.tuning.gemm_threads, opts.tuning.gemm_block_cols));
+        let engine = Arc::new(ServiceEngine::new(0, 0));
         let server = Server::new(engine, ServerConfig { workers: 2, ..ServerConfig::default() });
         let created = server.handle(&request("POST", "/jobs", spec_text.as_bytes()));
         assert_eq!(created.status, 201, "{}", String::from_utf8_lossy(&created.body));
@@ -258,13 +249,11 @@ fn scalar_pinned_job_served_beside_an_unpinned_one() {
     let pinned_text = SPEC.replace("[montecarlo]", "[run]\nsimd = \"scalar\"\n\n[montecarlo]");
     let pinned = ExperimentSpec::parse_str(&pinned_text).expect("pinned spec parses");
     assert_eq!(pinned.run.simd.as_deref(), Some("scalar"));
-    let args = Args::try_parse_from(std::iter::empty::<String>()).expect("empty args");
-    let opts = options_from_args(&pinned, &args).expect("run options");
-    let reference =
-        with_backend(Backend::Scalar, || run_spec(&pinned, &opts)).unwrap().expect("reference run");
+    let reference = with_backend(Backend::Scalar, || run_spec(&pinned, &RunOptions::default()))
+        .unwrap()
+        .expect("reference run");
 
-    let engine =
-        Arc::new(ServiceEngine::new(opts.tuning.gemm_threads, opts.tuning.gemm_block_cols));
+    let engine = Arc::new(ServiceEngine::new(0, 0));
     let server = Server::new(engine, ServerConfig { workers: 2, ..ServerConfig::default() });
     let ids: Vec<String> = [SPEC, pinned_text.as_str()]
         .iter()
@@ -294,31 +283,4 @@ fn scalar_pinned_job_served_beside_an_unpinned_one() {
         normalized(&reference.to_json()),
         "scalar-pinned served document differs from `swim run` under a scalar backend"
     );
-}
-
-/// A job's own `[tune]` pins hold for that job: the engine runs it
-/// under `tune.gemm_block = 96` over an unpinned engine policy, records
-/// the pin, and serves the bytes `run_spec` writes for the same spec.
-#[test]
-fn job_tune_pins_hold_and_match_run_spec() {
-    let pinned_text =
-        SPEC.replace("[montecarlo]", "[tune]\nmode = \"off\"\ngemm_block = 96\n\n[montecarlo]");
-    let spec = ExperimentSpec::parse_str(&pinned_text).expect("pinned spec parses");
-    let args = Args::try_parse_from(std::iter::empty::<String>()).expect("empty args");
-    let opts = options_from_args(&spec, &args).expect("run options");
-    let direct = run_spec(&spec, &opts).expect("reference run");
-    assert_eq!(direct.tuning.gemm_block_cols, 96);
-
-    let engine = ServiceEngine::new(opts.tuning.gemm_threads, 0);
-    engine.validate(&spec).expect("a job's own [tune] section is accepted");
-    let payloads = engine
-        .grid(&spec)
-        .iter()
-        .map(|(model, sigma)| engine.run_block(&spec, model, *sigma).expect("block").payload)
-        .collect();
-    let served = engine.assemble(&spec, payloads, 0.0).expect("assembly");
-    let served_doc = ResultsDoc::parse_str(&served).expect("served document parses");
-    assert_eq!(served_doc.tuning.gemm_block_cols, 96);
-    assert_eq!(served_doc.tuning.mode, "off");
-    assert_eq!(normalized(&served), normalized(&direct.to_json()), "served ≠ run_spec");
 }

@@ -499,10 +499,14 @@ fn malformed_swim_simd_exits_two_without_panicking() {
     assert_usage_error(&swim_with_env("SWIM_SIMD", "bogus", &["list"]), "SWIM_SIMD=bogus");
 }
 
+/// The former GEMM pin variables are refused with one `error:` line,
+/// malformed or not, rather than silently ignored.
 #[test]
 fn malformed_swim_tune_block_exits_two_without_panicking() {
-    let out = swim_with_env("SWIM_TUNE_BLOCK", "abc", &["preset", "table1", "--quick"]);
-    assert_usage_error(&out, "SWIM_TUNE_BLOCK");
+    for value in ["abc", "96"] {
+        let out = swim_with_env("SWIM_TUNE_BLOCK", value, &["preset", "table1", "--quick"]);
+        assert_usage_error(&out, "SWIM_TUNE_BLOCK");
+    }
 }
 
 #[test]
@@ -510,43 +514,44 @@ fn malformed_swim_tune_min_flops_exits_two_without_panicking() {
     let dir = tempdir("swim-bad-min-flops");
     let spec = dir.join("spec.toml");
     std::fs::write(&spec, TWO_BLOCK_SPEC).unwrap();
-    let out = swim_with_env("SWIM_TUNE_MIN_FLOPS", "-1", &["run", spec.to_str().unwrap()]);
-    assert_usage_error(&out, "SWIM_TUNE_MIN_FLOPS");
+    for value in ["-1", "5"] {
+        let out = swim_with_env("SWIM_TUNE_MIN_FLOPS", value, &["run", spec.to_str().unwrap()]);
+        assert_usage_error(&out, "SWIM_TUNE_MIN_FLOPS");
+    }
 }
 
 /// There is no autotuner to switch on: `--set tune=on` (and the former
 /// `--tune on` flag, now a spec override like any other) is refused,
-/// and the message points at the pins that remain.
+/// and the message says why.
 #[test]
 fn tune_on_is_refused_with_a_pointer_to_the_pins() {
     for flag in [["--set", "tune=on"], ["--tune", "on"]] {
         let out = swim(&["preset", "table1", "--quick", flag[0], flag[1]]);
-        assert_usage_error(&out, "tune.gemm_block");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("tune.gemm_min_flops"));
+        assert_usage_error(&out, "tune.mode");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("no autotuner"));
     }
 }
 
-/// The pin precedence through the binary: the spec's `[tune]` pin beats
-/// the environment, and a key the spec leaves unset falls through to it.
+/// The spec's `[tune]` section is the one tuning layer the binary reads:
+/// a spec's `mode = "off"` runs and is recorded with no pin, and the CLI
+/// layer cannot add one under it — a `--set tune.gemm_block` override
+/// and the former `SWIM_TUNE_BLOCK` variable are both refused.
 #[test]
 fn spec_tune_pins_beat_the_cli_layer() {
     let dir = tempdir("swim-tune-precedence");
     let spec = dir.join("spec.toml");
-    std::fs::write(&spec, TWO_BLOCK_SPEC).unwrap();
+    std::fs::write(&spec, format!("{TWO_BLOCK_SPEC}[tune]\nmode = \"off\"\n")).unwrap();
+    let spec = spec.to_str().unwrap();
     let out_path = dir.join("out.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_swim"))
-        .args(["run", spec.to_str().unwrap(), "--set", "tune.gemm_block=96"])
-        .args(["--out", out_path.to_str().unwrap()])
-        .env("SWIM_TUNE_BLOCK", "64")
-        .env("SWIM_TUNE_MIN_FLOPS", "5")
-        .output()
-        .expect("swim binary runs");
+    let out = swim(&["run", spec, "--out", out_path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let doc = load_normalized(&out_path);
-    assert_eq!(doc.tuning.gemm_block_cols, 96, "the spec pin beats SWIM_TUNE_BLOCK");
-    assert_eq!(doc.tuning.gemm_min_flops, 5, "an unset spec key falls through to the env");
+    assert_eq!(doc.tuning.gemm_block_cols, 0, "no layer pins the block width");
+    assert_eq!(doc.tuning.gemm_min_flops, 0, "no layer pins the threshold");
     assert_eq!(doc.tuning.mode, "off");
     assert!(doc.tuning.choices.is_empty());
+    assert_usage_error(&swim(&["run", spec, "--set", "tune.gemm_block=96"]), "tune.gemm_block");
+    assert_usage_error(&swim_with_env("SWIM_TUNE_BLOCK", "64", &["run", spec]), "SWIM_TUNE_BLOCK");
 }
 
 /// The removed `--gemm-block` / `--gemm-min-flops` aliases are refused
@@ -561,5 +566,69 @@ fn removed_gemm_alias_flags_exit_two() {
             let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
             assert_eq!(errors, 1, "{args:?}: {stderr}");
         }
+    }
+}
+
+/// The removed GEMM pins — the `--gemm-threads` flag and the spec's
+/// `tune.gemm_block` / `tune.gemm_min_flops` keys — are refused with one
+/// `error:` line naming the key, never silently ignored.
+#[test]
+fn removed_gemm_pins_exit_two() {
+    let dir = tempdir("swim-removed-pins");
+    let spec = dir.join("spec.toml");
+    std::fs::write(&spec, TWO_BLOCK_SPEC).unwrap();
+    let spec = spec.to_str().unwrap();
+    let mut cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["run", spec, "--gemm-threads", "2"], "gemm-threads"),
+        (vec!["preset", "table1", "--quick", "--gemm-threads", "2"], "gemm-threads"),
+        // An unusable address makes a wrongly accepted flag fail fast
+        // instead of serving forever.
+        (vec!["serve", "--gemm-threads", "2", "--addr", "no-such-host:bad"], "gemm-threads"),
+    ];
+    let mut pinned = Vec::new();
+    for key in ["gemm_block", "gemm_min_flops"] {
+        let path = dir.join(format!("{key}.toml"));
+        std::fs::write(&path, format!("{TWO_BLOCK_SPEC}[tune]\n{key} = 96\n")).unwrap();
+        pinned.push((path, key));
+    }
+    for (path, key) in &pinned {
+        cases.push((vec!["run", path.to_str().unwrap()], key));
+    }
+    for (args, key) in cases {
+        let out = swim(&args);
+        assert_usage_error(&out, key);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(errors, 1, "{args:?}: {stderr}");
+    }
+}
+
+/// Kernel pins handed to `run_spec` by a library caller change timing,
+/// never bytes: three GEMM threads, the narrowest block and a threshold
+/// that threads every product write the default run's document, apart
+/// from wall time and the `tuning` provenance that records the pins.
+#[test]
+fn run_options_tuning_pins_leave_result_bytes_alone() {
+    use swim_report::schema::TuningDoc;
+    use swim_tensor::tune::KernelTuning;
+    let pins = KernelTuning {
+        gemm_threads: 3,
+        gemm_block_cols: swim_tensor::linalg::NR,
+        gemm_min_flops: 1,
+        ..Default::default()
+    };
+    let blank = |mut doc: ResultsDoc| {
+        doc.wall_time_s = 0.0;
+        doc.tuning = TuningDoc::default();
+        doc.to_json()
+    };
+    for threads in ["1", "2"] {
+        let mut spec = ExperimentSpec::parse_str(TWO_BLOCK_SPEC).unwrap();
+        spec.apply_set(&format!("threads={threads}")).unwrap();
+        let pinned =
+            run_spec(&spec, &RunOptions { tuning: pins.clone(), ..Default::default() }).unwrap();
+        assert_eq!(pinned.tuning.gemm_block_cols, swim_tensor::linalg::NR, "the pin is recorded");
+        let default = run_spec(&spec, &RunOptions::default()).unwrap();
+        assert_eq!(blank(pinned), blank(default), "threads = {threads}");
     }
 }

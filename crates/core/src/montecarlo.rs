@@ -266,18 +266,13 @@ impl Default for SweepConfig {
         SweepConfig {
             fractions: vec![0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0],
             runs: 100,
-            threads: num_threads(),
+            threads: swim_tensor::tune::detected_parallelism(),
             eval_batch: 256,
             seed: 0,
             run_offset: 0,
             on_panic: PanicPolicy::FailFast,
         }
     }
-}
-
-/// Available parallelism, defaulting to 1 when undetectable.
-pub fn num_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Sweeps accuracy versus NWC for one selection strategy.

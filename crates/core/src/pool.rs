@@ -8,7 +8,9 @@
 //! one fixed set of workers that outlive every request. [`WorkerPool`]
 //! is that set: `n` named threads draining one shared FIFO of boxed
 //! tasks. Tasks are `'static` closures; callers share state with them
-//! through `Arc`.
+//! through `Arc`. The pool is the parallel level: each worker runs
+//! [`swim_tensor::par::as_worker`], so a task's matrix products stay
+//! serial unless it pins a GEMM thread count itself.
 //!
 //! A panicking task is contained: the worker catches the unwind,
 //! reports it on stderr, and keeps draining the queue, so one poisoned
@@ -45,6 +47,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+/// The host's core count, detected once: the default size of a pool
+/// and of a Monte Carlo fan-out.
+pub use swim_tensor::tune::detected_parallelism;
+
 /// A queued unit of work.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
@@ -69,7 +75,7 @@ impl WorkerPool {
                 let receiver = Arc::clone(&receiver);
                 std::thread::Builder::new()
                     .name(format!("swim-worker-{i}"))
-                    .spawn(move || worker_loop(&receiver))
+                    .spawn(move || swim_tensor::par::as_worker(|| worker_loop(&receiver)))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -224,6 +230,28 @@ mod tests {
         }
         rx.recv().unwrap();
         assert_eq!(done.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn pool_tasks_run_auto_gemm_threads_serially() {
+        use swim_tensor::simd::{with_backend, Backend};
+        use swim_tensor::tune::{gemm_plan, with_tuning, KernelTuning};
+        let workers = || gemm_plan(256, 256, 256, 0).workers;
+        let pool = WorkerPool::new(2);
+        let (tx, rx) = mpsc::channel();
+        pool.spawn(move || {
+            let auto = KernelTuning::default();
+            let pinned = KernelTuning { gemm_threads: 3, ..Default::default() };
+            tx.send((
+                with_tuning(&auto, workers),
+                with_backend(Backend::Scalar, || with_tuning(&auto, workers)).unwrap(),
+                with_tuning(&pinned, workers),
+            ))
+            .unwrap();
+        });
+        assert_eq!(rx.recv().unwrap(), (1, 1, 3), "auto is serial on a pool worker; a pin holds");
+        let all_cores = detected_parallelism().min(256);
+        assert_eq!(with_tuning(&KernelTuning::default(), workers), all_cores, "off the pool");
     }
 
     #[test]

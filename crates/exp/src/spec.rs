@@ -6,15 +6,14 @@
 //! definitions produce, and what the JSON results document echoes. It
 //! parses from the TOML subset (or JSON) of [`crate::value`], writes
 //! back out losslessly, rejects unknown keys, and derives the per-stage
-//! config views (`SweepConfig`, `Alg1Config`, `InsituConfig`,
-//! `DeviceConfig`) that the engine crates consume.
+//! config views (`Alg1Config`, `DeviceConfig`, the shard's run range)
+//! that the engine crates consume.
 
 use crate::value::{parse_json, parse_loose, parse_toml, Reader, Value};
 use swim_cim::device::{DeviceConfig, DeviceTech};
 use swim_cim::model::{device_model_by_name, device_model_keys, DEFAULT_DEVICE_MODEL};
 use swim_core::algorithm::Alg1Config;
-use swim_core::insitu::InsituConfig;
-use swim_core::montecarlo::{PanicPolicy, SweepConfig};
+use swim_core::montecarlo::PanicPolicy;
 use swim_core::select::{selector_by_name, Selector};
 
 /// A spec parsing/validation error.
@@ -338,23 +337,14 @@ pub struct RunSpec {
     pub simd: Option<String>,
 }
 
-/// `[tune]`: kernel pins. Like `[run]` this is not part of the
-/// experiment's mathematical identity: every knob changes speed, never
-/// bytes, so two runs differing only here produce byte-identical
-/// results apart from wall time and the `tuning` provenance section.
-/// Spec values take the highest precedence (spec > CLI flags >
-/// environment > built-in default); unset keys fall through to the next
-/// layer. `0` knobs mean "the built-in default" exactly like the
-/// [`swim_tensor::tune::KernelTuning`] they resolve into.
+/// `[tune]`: what is left of the former autotuner's section. A spec
+/// pins no kernel knob: GEMM threading is decided where work fans out
+/// (`swim_tensor::par`) and the block width by a built-in heuristic.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TuneSpec {
     /// Tuning mode; `"off"` is the only legal value (there is no
     /// autotuner), kept so older specs still parse.
     pub mode: Option<String>,
-    /// Pinned GEMM block width.
-    pub gemm_block: Option<usize>,
-    /// Pinned GEMM threading threshold in multiplies.
-    pub gemm_min_flops: Option<usize>,
 }
 
 impl TuneSpec {
@@ -710,13 +700,8 @@ impl ExperimentSpec {
                         return Err(err("`tune.mode` must be the string \"off\""));
                     }
                 };
-                let out = TuneSpec {
-                    mode,
-                    gemm_block: s.usize_opt("gemm_block")?,
-                    gemm_min_flops: s.usize_opt("gemm_min_flops")?,
-                };
                 s.finish()?;
-                out
+                TuneSpec { mode }
             }
         };
 
@@ -868,7 +853,7 @@ impl ExperimentSpec {
             }
         }
         // Field overrides go through DeviceConfig::validate.
-        for cfg in self.configs_dry_run() {
+        for cfg in self.device.configs() {
             cfg.validate();
         }
         if self.training.samples < 10 {
@@ -948,8 +933,8 @@ impl ExperimentSpec {
         }
         if let Some(mode) = self.tune.mode.as_deref().filter(|&m| m != "off") {
             return Err(err(format!(
-                "`tune.mode` must be \"off\" (got `{mode}`): there is no autotuner; pin the \
-                 kernels with `tune.gemm_block` and `tune.gemm_min_flops`"
+                "`tune.mode` must be \"off\" (got `{mode}`): there is no autotuner; GEMM \
+                 threading and block width are chosen by the kernels"
             )));
         }
         for &p in &self.ablation.granularities {
@@ -970,18 +955,12 @@ impl ExperimentSpec {
         Ok(())
     }
 
-    /// Device configs without panicking on preset validation (used
-    /// inside [`ExperimentSpec::validate`] before ranges are known good).
-    fn configs_dry_run(&self) -> Vec<DeviceConfig> {
-        self.device.configs()
-    }
-
     // ------------------------------------------------------- views
 
     /// Worker-thread count with `0` resolved to all cores.
     pub fn threads(&self) -> usize {
         if self.montecarlo.threads == 0 {
-            swim_core::montecarlo::num_threads()
+            swim_tensor::tune::detected_parallelism()
         } else {
             self.montecarlo.threads
         }
@@ -996,33 +975,6 @@ impl ExperimentSpec {
         match self.run.shard {
             None => (0, runs),
             Some((i, n)) => (i * runs / n, (i + 1) * runs / n),
-        }
-    }
-
-    /// The [`SweepConfig`] view of this spec. For a sharded spec the
-    /// config covers only the shard's run range, with `run_offset`
-    /// preserving the global PRNG streams.
-    pub fn sweep_config(&self) -> SweepConfig {
-        let (start, end) = self.shard_run_range();
-        SweepConfig {
-            fractions: self.sweep.fractions.clone(),
-            runs: end - start,
-            threads: self.threads(),
-            eval_batch: self.montecarlo.eval_batch,
-            seed: self.seed,
-            run_offset: start,
-            on_panic: self.montecarlo.on_panic,
-        }
-    }
-
-    /// The [`InsituConfig`] view of this spec (checkpoints on the sweep
-    /// grid).
-    pub fn insitu_config(&self) -> InsituConfig {
-        InsituConfig {
-            lr: self.insitu.lr,
-            batch_size: self.insitu.batch,
-            eval_batch: self.montecarlo.eval_batch,
-            record_at: self.sweep.fractions.clone(),
         }
     }
 
@@ -1134,12 +1086,6 @@ impl ExperimentSpec {
             if let Some(mode) = &self.tune.mode {
                 tune.set("mode", Value::Str(mode.clone()));
             }
-            if let Some(b) = self.tune.gemm_block {
-                tune.set("gemm_block", Value::Int(b as i64));
-            }
-            if let Some(f) = self.tune.gemm_min_flops {
-                tune.set("gemm_min_flops", Value::Int(f as i64));
-            }
             root.set("tune", tune);
         }
 
@@ -1197,7 +1143,7 @@ impl ExperimentSpec {
     /// The device section is excluded: training and quantization never
     /// read it, and a prepared model is rebound to each `(device model,
     /// sigma)` block (`QuantizedModel::rebind`). The byte-neutral
-    /// `[tune]` pins and everything downstream (selection methods, sweep
+    /// `[tune]` mode and everything downstream (selection methods, sweep
     /// grid, Monte Carlo budget, sharding) are excluded too: two specs
     /// that differ only there share preparation work, which is what the
     /// service's prepared-model cache exploits.
@@ -1391,13 +1337,8 @@ mod tests {
             "seed = 11\n[sweep]\nfractions = [0.0, 0.5]\n[montecarlo]\nruns = 4\nthreads = 2\n",
         )
         .unwrap();
-        let sweep = spec.sweep_config();
-        assert_eq!(sweep.runs, 4);
-        assert_eq!(sweep.threads, 2);
-        assert_eq!(sweep.seed, 11);
-        assert_eq!(sweep.fractions, vec![0.0, 0.5]);
-        let insitu = spec.insitu_config();
-        assert_eq!(insitu.record_at, vec![0.0, 0.5]);
+        assert_eq!(spec.shard_run_range(), (0, 4));
+        assert_eq!(spec.threads(), 2);
         let alg1 = spec.alg1_config_at(0.05);
         assert_eq!(alg1.granularity, 0.05);
         assert_eq!(alg1.batch, 256);
@@ -1558,27 +1499,27 @@ mod tests {
 
     #[test]
     fn tune_parses_validates_and_round_trips() {
-        let spec = ExperimentSpec::parse_str("[tune]\nmode = \"off\"\ngemm_block = 256\n").unwrap();
+        let spec = ExperimentSpec::parse_str("[tune]\nmode = \"off\"\n").unwrap();
         assert_eq!(spec.tune.mode.as_deref(), Some("off"));
-        assert_eq!(spec.tune.gemm_block, Some(256));
         let again = ExperimentSpec::parse_str(&spec.to_toml()).unwrap();
         assert_eq!(again, spec);
         // Default specs do not echo a [tune] section at all — written
         // documents stay byte-identical to pre-tuning ones.
         assert!(!ExperimentSpec::default().to_toml().contains("[tune]"));
         // Bad values are rejected with the dotted path. `on` named the
-        // removed autotuner; the refusal points at the pins instead.
+        // removed autotuner.
         let e = ExperimentSpec::parse_str("[tune]\nmode = \"on\"\n").unwrap_err();
-        assert!(e.0.contains("tune.mode") && e.0.contains("tune.gemm_block"), "{e}");
+        assert!(e.0.contains("tune.mode") && e.0.contains("no autotuner"), "{e}");
         let e = ExperimentSpec::parse_str("[tune]\nmode = 2\n").unwrap_err();
         assert!(e.0.contains("tune.mode"), "{e}");
-        let e = ExperimentSpec::parse_str("[tune]\ngemm_block = -3\n").unwrap_err();
-        assert!(e.0.contains("tune.gemm_block"), "{e}");
         let e = ExperimentSpec::parse_str("[tune]\nblock = 1\n").unwrap_err();
         assert!(e.0.contains("unknown key `tune.block`"), "{e}");
-        // The inert im2col cap is gone from the spec.
-        let e = ExperimentSpec::parse_str("[tune]\nim2col_cap = 1\n").unwrap_err();
-        assert!(e.0.contains("unknown key `tune.im2col_cap`"), "{e}");
+        // The inert im2col cap and the former kernel pins are gone from
+        // the spec.
+        for key in ["im2col_cap", "gemm_block", "gemm_min_flops"] {
+            let e = ExperimentSpec::parse_str(&format!("[tune]\n{key} = 1\n")).unwrap_err();
+            assert!(e.0.contains(&format!("unknown key `tune.{key}`")), "{e}");
+        }
         // The bare `tune` shorthand addresses the mode.
         let mut spec = ExperimentSpec::default();
         spec.apply_set("tune=off").unwrap();
@@ -1588,13 +1529,11 @@ mod tests {
 
     #[test]
     fn tune_section_leaves_prep_fingerprint_alone() {
-        // Every `[tune]` key is byte-neutral, so a pinned spec shares
-        // the default spec's prepared model.
+        // The `[tune]` mode is byte-neutral, so a spec that sets it
+        // shares the default spec's prepared model.
         let base = ExperimentSpec::default();
         let mut pinned = base.clone();
         pinned.apply_set("tune=off").unwrap();
-        pinned.apply_set("tune.gemm_block=96").unwrap();
-        pinned.apply_set("tune.gemm_min_flops=1").unwrap();
         assert_eq!(pinned.prep_fingerprint(), base.prep_fingerprint());
     }
 
@@ -1639,12 +1578,10 @@ mod tests {
             "seed = 5\n[run]\nshard = \"1/2\"\n[montecarlo]\nruns = 25\n",
         )
         .unwrap();
-        let cfg = spec.sweep_config();
-        assert_eq!((cfg.run_offset, cfg.runs), (12, 13));
-        assert_eq!(cfg.on_panic, PanicPolicy::FailFast);
-        // The unsharded view covers everything from offset zero.
-        let cfg = ExperimentSpec::default().sweep_config();
-        assert_eq!((cfg.run_offset, cfg.runs), (0, 25));
+        assert_eq!(spec.shard_run_range(), (12, 25));
+        assert_eq!(spec.montecarlo.on_panic, PanicPolicy::FailFast);
+        // The unsharded range covers everything from zero.
+        assert_eq!(ExperimentSpec::default().shard_run_range(), (0, 25));
     }
 
     #[test]

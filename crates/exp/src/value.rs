@@ -827,18 +827,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Optional `usize` value of `key` (`None` when absent).
-    pub fn usize_opt(&mut self, key: &str) -> Result<Option<usize>, String> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(v) => {
-                v.as_int().and_then(|i| usize::try_from(i).ok()).map(Some).ok_or_else(|| {
-                    format!("`{}` must be a non-negative integer", self.full_key(key))
-                })
-            }
-        }
-    }
-
     /// Optional `u32` value of `key` (`None` when absent).
     pub fn u32_opt(&mut self, key: &str) -> Result<Option<u32>, String> {
         match self.take(key) {

@@ -242,10 +242,9 @@ pub struct Server {
 impl Server {
     /// Builds a server with its own worker pool.
     pub fn new(engine: Arc<dyn JobEngine>, config: ServerConfig) -> Arc<Server> {
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            config.workers
+        let workers = match config.workers {
+            0 => swim_core::pool::detected_parallelism(),
+            n => n,
         };
         Arc::new(Server {
             engine,

@@ -52,15 +52,17 @@ pub const MR: usize = 4;
 pub const NR: usize = 32;
 /// Default minimum multiply count (`m·n·k`) before the row-panel
 /// threaded path engages; below it, thread-spawn overhead dominates.
-/// Override at runtime via [`crate::tune::KernelTuning`].
+/// Library callers can pin another value through
+/// [`crate::tune::KernelTuning::gemm_min_flops`].
 ///
 /// The default was chosen by measuring the spawn+join cost of the scoped
 /// worker threads (~15–40 µs per spawn on the benchmarked hosts) against
 /// the kernel's single-core throughput (several GFLOP/s): at `2²²`
 /// multiplies a serial product runs ≈1 ms, so the fixed threading cost
 /// stays in the low single-digit percents. Re-measured 2026-08: still
-/// the best fixed threshold on the measured hosts. Pin another value
-/// with `tune.gemm_min_flops` or `SWIM_TUNE_MIN_FLOPS`.
+/// the best fixed threshold on the measured hosts. The threaded path
+/// engages only off a parallel worker: inside a Monte Carlo run or a
+/// served block every product is serial (see [`crate::par`]).
 pub const PARALLEL_MIN_FLOPS: usize = 1 << 22;
 
 /// Sets the process default worker-thread count for large matrix
@@ -68,7 +70,7 @@ pub const PARALLEL_MIN_FLOPS: usize = 1 << 22;
 ///
 /// Deprecated alias for installing a [`crate::tune::KernelTuning`] with
 /// `gemm_threads` set; kept so pre-tune callers keep compiling. `0`
-/// restores the default (one thread per available core). Threads inside
+/// restores the automatic count (see [`crate::par`]). Threads inside
 /// a [`crate::tune::with_tuning`] scope keep their own value; results
 /// are bit-identical for every value.
 pub fn set_gemm_threads(threads: usize) {

@@ -9,17 +9,59 @@
 //! reaches the workers. Which thread takes which item is up to the
 //! scheduler: callers give every item a disjoint output, so the split
 //! never changes a byte.
+//!
+//! # Nesting: one parallel level
+//!
+//! The outermost fan-out owns the cores. Every thread [`fan_out`] spawns
+//! runs [`as_worker`], and so does every thread of a persistent pool
+//! (`swim_core::pool::WorkerPool`). On such a worker, a GEMM left at its
+//! automatic thread count (`gemm_threads == 0`) runs serially, so a
+//! Monte Carlo run or a served block never spawns threads of its own
+//! beneath its siblings. On any other thread, automatic means one GEMM
+//! thread per core. An explicit non-zero `gemm_threads` pin is always
+//! honoured. The mark belongs to the thread, not to its
+//! [`KernelConfig`]: entering a [`crate::tune::with_tuning`] or
+//! [`crate::simd::with_backend`] scope keeps it.
 
 use crate::tune::KernelConfig;
+use std::cell::Cell;
 use std::sync::{Mutex, PoisonError};
+
+thread_local! {
+    /// Whether the calling thread is a parallel worker (see [`as_worker`]).
+    static WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with the calling thread marked as a parallel worker, and
+/// restores the previous mark afterwards, also on panic.
+///
+/// [`fan_out`] calls this in each thread it spawns; a persistent worker
+/// pool calls it around each worker's loop. On a marked thread, the
+/// automatic GEMM thread count resolves to one (see the module docs).
+pub fn as_worker<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            WORKER.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(WORKER.with(|w| w.replace(true)));
+    f()
+}
+
+/// Whether the calling thread runs inside [`as_worker`].
+pub(crate) fn is_worker() -> bool {
+    WORKER.with(Cell::get)
+}
 
 /// Runs `job(&mut state, item)` for every item of `items`, on `workers`
 /// scoped threads, or inline on the calling thread when `workers <= 1`.
 ///
 /// Each spawned thread calls `init` once, then pulls items from the
 /// shared iterator (one lock per pull; jobs run unlocked) and runs them
-/// under the caller's [`KernelConfig::current`]. So `init` runs at most
-/// `workers` times, and exactly once inline.
+/// under the caller's [`KernelConfig::current`], marked as a worker
+/// ([`as_worker`]). So `init` runs at most `workers` times, and exactly
+/// once inline, where the calling thread keeps its own mark.
 ///
 /// # Panics
 ///
@@ -42,15 +84,18 @@ pub fn fan_out<T, S>(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                config.scope(|| {
-                    let mut state = init();
-                    loop {
-                        // Poisoned only if another worker's `next` panicked;
-                        // that panic reaches the caller when the scope ends.
-                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                        let Some(item) = next else { break };
-                        job(&mut state, item);
-                    }
+                as_worker(|| {
+                    config.scope(|| {
+                        let mut state = init();
+                        loop {
+                            // Poisoned only if another worker's `next`
+                            // panicked; that panic reaches the caller when
+                            // the scope ends.
+                            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                            let Some(item) = next else { break };
+                            job(&mut state, item);
+                        }
+                    })
                 })
             });
         }
@@ -142,6 +187,33 @@ mod tests {
             assert_ne!(thread, caller, "threaded items run on workers");
             assert_eq!((backend, block, min_flops), (Backend::Scalar, 96, 7));
         }
+    }
+
+    #[test]
+    fn auto_gemm_threads_go_serial_on_fan_out_workers_only() {
+        let workers = || tune::gemm_plan(256, 256, 256, 0).workers;
+        let auto = KernelTuning::default();
+        let pinned = KernelTuning { gemm_threads: 3, ..Default::default() };
+        with_tuning(&auto, || {
+            let all_cores = tune::detected_parallelism().min(256);
+            let seen = Mutex::new(Vec::new());
+            fan_out(
+                2,
+                0..4,
+                || (),
+                |(), _| {
+                    let rescoped = with_tuning(&auto, workers);
+                    let backend = with_backend(Backend::Scalar, workers).unwrap();
+                    let pin = with_tuning(&pinned, workers);
+                    seen.lock().unwrap().push((workers(), rescoped, backend, pin));
+                },
+            );
+            let seen = seen.into_inner().unwrap();
+            assert_eq!(seen, vec![(1, 1, 1, 3); 4], "auto is serial on a worker; a pin holds");
+            fan_out(1, 0..1, || (), |(), _| assert_eq!(workers(), all_cores, "inline"));
+            as_worker(|| assert_eq!(workers(), 1));
+            assert_eq!(workers(), all_cores, "the mark is restored after as_worker");
+        });
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! Every hot-path constant the kernels used to hard-code — the GEMM
 //! worker-thread count, the packed-panel block width and the
 //! [`crate::linalg::PARALLEL_MIN_FLOPS`] threading threshold — resolves
-//! through this module. One [`KernelTuning`] value is resolved per run
-//! and entered as a scope with [`with_tuning`]; the kernels then consult
-//! it through [`gemm_plan`].
+//! through this module. The kernels consult the calling thread's
+//! configuration through [`gemm_plan`].
 //!
 //! # Configuration: a process default and a scoped override
 //!
@@ -22,14 +21,15 @@
 //! Carlo runs, the convolution image split and the GEMM row panels all
 //! compute under their caller's configuration.
 //!
-//! # Policy: explicit pins over the built-in heuristic
+//! # Policy: decided where work fans out
 //!
-//! Each knob is either pinned (non-zero) or `0`, which means the
-//! built-in default: one GEMM thread per core, the cache-resident
-//! block-width heuristic, and [`crate::linalg::PARALLEL_MIN_FLOPS`].
-//! The experiment engine resolves the pins with the precedence
-//! `spec [tune]` > CLI flags (`--gemm-threads`) > environment
-//! (`SWIM_TUNE_BLOCK`, `SWIM_TUNE_MIN_FLOPS`) > built-in default.
+//! Each knob is `0` unless a library caller pins it through a
+//! [`KernelTuning`] ([`with_tuning`], [`install`]); the program itself
+//! pins nothing. `0` means the built-in default: the cache-resident
+//! block-width heuristic, [`crate::linalg::PARALLEL_MIN_FLOPS`], and
+//! for the thread count the nesting rule of [`crate::par`] — one GEMM
+//! thread on a parallel worker (a spawned [`crate::par::fan_out`]
+//! thread or a worker-pool thread), one per core anywhere else.
 //!
 //! # Timing-only contract
 //!
@@ -66,7 +66,7 @@ impl TuneMode {
     }
 }
 
-/// The kernel-tuning configuration, resolved once per run.
+/// A kernel-tuning configuration for library callers.
 ///
 /// Every numeric knob uses `0` for "the built-in default"; non-zero
 /// values are explicit pins. `mode`, `im2col_cap_elems` and `cache_dir`
@@ -76,7 +76,8 @@ impl TuneMode {
 pub struct KernelTuning {
     /// Inert; always [`TuneMode::Off`].
     pub mode: TuneMode,
-    /// GEMM worker threads (`0` = one per available core).
+    /// GEMM worker threads (`0` = one per available core, or one on a
+    /// parallel worker thread; see [`crate::par`]).
     pub gemm_threads: usize,
     /// GEMM packed-panel block width (`0` = the cache-resident
     /// heuristic).
@@ -91,35 +92,6 @@ pub struct KernelTuning {
     pub cache_dir: Option<PathBuf>,
 }
 
-impl KernelTuning {
-    /// The built-in default configuration with the `SWIM_TUNE_BLOCK` and
-    /// `SWIM_TUNE_MIN_FLOPS` environment pins applied on top.
-    ///
-    /// A malformed value is an error naming the variable: a misspelled
-    /// explicit request must not silently fall back, mirroring
-    /// `SWIM_SIMD`.
-    pub fn from_env() -> Result<KernelTuning, String> {
-        let knob = |name: &str| -> Result<Option<usize>, String> {
-            match std::env::var(name) {
-                Ok(v) => v
-                    .trim()
-                    .parse::<usize>()
-                    .map(Some)
-                    .map_err(|_| format!("{name}: `{v}` is not a non-negative integer")),
-                Err(_) => Ok(None),
-            }
-        };
-        let mut t = KernelTuning::default();
-        if let Some(v) = knob("SWIM_TUNE_BLOCK")? {
-            t.gemm_block_cols = v;
-        }
-        if let Some(v) = knob("SWIM_TUNE_MIN_FLOPS")? {
-            t.gemm_min_flops = v;
-        }
-        Ok(t)
-    }
-}
-
 // -------------------------------------------------------- configuration
 
 /// The kernel configuration every kernel entry resolves: the SIMD
@@ -127,8 +99,8 @@ impl KernelTuning {
 ///
 /// A thread's configuration is its scoped override if it has one
 /// ([`KernelConfig::scope`], [`crate::simd::with_backend`],
-/// [`with_tuning`]), else the process default ([`install`], read from
-/// `SWIM_SIMD` and the `SWIM_TUNE_*` variables on first use). An
+/// [`with_tuning`]), else the process default ([`install`]; its backend
+/// is read from `SWIM_SIMD` on first use). An
 /// override never reaches another thread on its own: [`crate::par::fan_out`]
 /// captures [`KernelConfig::current`] and enters it in each worker.
 ///
@@ -140,7 +112,7 @@ pub struct KernelConfig {
     /// SIMD backend the kernels dispatch through; always one that
     /// passed runtime feature detection.
     pub(crate) backend: Backend,
-    /// GEMM worker threads (`0` = one per available core).
+    /// GEMM worker threads (`0` = automatic, see [`crate::par`]).
     pub(crate) gemm_threads: usize,
     /// GEMM packed-panel block width (`0` = heuristic).
     pub(crate) gemm_block_cols: usize,
@@ -188,6 +160,7 @@ impl KernelConfig {
 
     fn threads(self) -> usize {
         match self.gemm_threads {
+            0 if crate::par::is_worker() => 1,
             0 => detected_parallelism(),
             n => n,
         }
@@ -214,8 +187,8 @@ fn process_default() -> KernelConfig {
     installed.unwrap_or_else(|| update_default(|_| {}))
 }
 
-/// Reads the process default from `SWIM_SIMD` and the `SWIM_TUNE_*`
-/// variables, unless something already set it.
+/// Reads the process default backend from `SWIM_SIMD`, unless
+/// something already set the default.
 ///
 /// Entry points call this first, so a malformed variable ends the
 /// program with an error message rather than a panic at the first
@@ -223,7 +196,7 @@ fn process_default() -> KernelConfig {
 pub fn init_from_env() -> Result<(), String> {
     let mut slot = DEFAULT.write().unwrap_or_else(PoisonError::into_inner);
     if slot.is_none() {
-        *slot = Some(KernelConfig::new(simd::initial_backend()?, &KernelTuning::from_env()?));
+        *slot = Some(KernelConfig::new(simd::initial_backend()?, &KernelTuning::default()));
     }
     Ok(())
 }
@@ -233,8 +206,8 @@ pub fn init_from_env() -> Result<(), String> {
 ///
 /// # Panics
 ///
-/// Panics on a malformed `SWIM_SIMD` or `SWIM_TUNE_*` value when no
-/// entry point resolved the environment with [`init_from_env`] first.
+/// Panics on a malformed `SWIM_SIMD` value when no entry point resolved
+/// the environment with [`init_from_env`] first.
 pub(crate) fn update_default(f: impl FnOnce(&mut KernelConfig)) -> KernelConfig {
     init_from_env().unwrap_or_else(|e| panic!("{e}"));
     let mut slot = DEFAULT.write().unwrap_or_else(PoisonError::into_inner);
@@ -246,9 +219,9 @@ pub(crate) fn update_default(f: impl FnOnce(&mut KernelConfig)) -> KernelConfig 
 /// Installs `t` as the process default tuning, keeping the default
 /// backend.
 ///
-/// For entry points that configure the whole process (the CLI). Threads
-/// inside a [`with_tuning`] or [`KernelConfig::scope`] keep their
-/// override. Timing-only: no configuration changes result bytes.
+/// For library callers that configure the whole process. Threads inside
+/// a [`with_tuning`] or [`KernelConfig::scope`] keep their override.
+/// Timing-only: no configuration changes result bytes.
 pub fn install(t: &KernelTuning) {
     update_default(|c| *c = KernelConfig::new(c.backend, t));
 }
@@ -291,7 +264,8 @@ pub fn detected_parallelism() -> usize {
     }
 }
 
-/// The worker-thread count large products will use.
+/// The worker-thread count large products on the calling thread will
+/// use.
 pub fn gemm_threads() -> usize {
     KernelConfig::current().threads()
 }
@@ -333,7 +307,8 @@ pub struct GemmPlan {
 }
 
 /// Resolves the execution plan for one `m×k·k×n` product from the
-/// calling thread's pins and the built-in heuristic.
+/// calling thread's pins, the built-in heuristic and the nesting rule
+/// of [`crate::par`].
 ///
 /// `threads_req` is the caller's explicit thread count (`0` = the
 /// configured setting). Products below the threading threshold run

@@ -55,7 +55,7 @@ fn prelude_reexports_compose() {
 #[test]
 fn facade_module_paths_resolve() {
     let _ = swim::tensor::linalg::gemm_threads();
-    let _ = swim::core::montecarlo::num_threads();
+    let _ = swim::tensor::tune::detected_parallelism();
     let _ = swim::nn::Mode::Eval;
     let _ = swim::quant::DeviceSlicing::new(4, 4);
     let _ = swim::cim::CostModel::default();
